@@ -15,7 +15,6 @@
 #include "fl/aggregate.hpp"
 #include "fl/client_data.hpp"
 #include "fl/simulator.hpp"
-#include "nn/conv.hpp"
 #include "obs/session.hpp"
 #include "style/adain.hpp"
 #include "style/encoder.hpp"
@@ -171,33 +170,6 @@ void BM_PairwiseL2_Simd(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PairwiseL2_Simd);
-
-void BM_Conv2dForward_Direct(benchmark::State& state) {
-  const BackendGuard guard;
-  pardon::tensor::SetGemmBackend(pardon::tensor::GemmBackend::kNaive);
-  Pcg32 rng(9);
-  const pardon::nn::Conv2d conv(8, 16, 16, 16, rng);
-  const Tensor x = Tensor::Gaussian({16, 8 * 16 * 16}, 0, 1, rng);
-  std::unique_ptr<pardon::nn::Layer::Context> ctx;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(conv.Forward(x, ctx, false, nullptr));
-  }
-}
-BENCHMARK(BM_Conv2dForward_Direct)->Unit(benchmark::kMillisecond);
-
-void BM_Conv2dForward_Im2col(benchmark::State& state) {
-  const BackendGuard guard;
-  pardon::tensor::SetGemmBackend(pardon::tensor::GemmBackend::kBlocked);
-  pardon::tensor::SetGemmThreads(1);
-  Pcg32 rng(9);
-  const pardon::nn::Conv2d conv(8, 16, 16, 16, rng);
-  const Tensor x = Tensor::Gaussian({16, 8 * 16 * 16}, 0, 1, rng);
-  std::unique_ptr<pardon::nn::Layer::Context> ctx;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(conv.Forward(x, ctx, false, nullptr));
-  }
-}
-BENCHMARK(BM_Conv2dForward_Im2col)->Unit(benchmark::kMillisecond);
 
 void BM_Finch(benchmark::State& state) {
   const std::int64_t n = state.range(0);

@@ -6,6 +6,7 @@
 #include "fl/aggregate.hpp"
 #include "fl/local_training.hpp"
 #include "fl/sim_checkpoint.hpp"
+#include "fl/wire.hpp"
 
 namespace pardon::baselines {
 
@@ -66,28 +67,32 @@ std::vector<float> FedDgGa::Aggregate(std::span<const float> /*global_params*/,
 
 std::vector<std::uint8_t> FedDgGa::SaveRoundState() const {
   if (weights_.empty()) return {};
-  fl::ByteWriter w;
-  w.WriteU32(static_cast<std::uint32_t>(weights_.size()));
+  std::vector<std::uint8_t> out;
+  fl::wire::PutU32(out, static_cast<std::uint32_t>(weights_.size()));
   for (const auto& [client, weight] : weights_) {  // std::map: sorted, stable
-    w.WriteI32(client);
-    w.WriteF64(weight);
+    fl::wire::PutU32(out, static_cast<std::uint32_t>(client));
+    fl::wire::PutF64(out, weight);
   }
-  return w.Take();
+  return out;
 }
 
 void FedDgGa::LoadRoundState(std::span<const std::uint8_t> state) {
   weights_.clear();
   if (state.empty()) return;
-  fl::ByteReader r(state);
-  const std::uint32_t count = r.ReadU32();
+  std::size_t cursor = 0;
+  const std::uint32_t count = fl::wire::GetU32(state, cursor);
   for (std::uint32_t i = 0; i < count; ++i) {
-    const int client = r.ReadI32();
-    const double weight = r.ReadF64();
+    const auto client =
+        static_cast<std::int32_t>(fl::wire::GetU32(state, cursor));
+    const double weight = fl::wire::GetF64(state, cursor);
     if (!weights_.emplace(client, weight).second) {
-      throw fl::CheckpointError("FedDG-GA state: duplicate client id");
+      throw fl::CheckpointError(
+          "sim checkpoint: FedDG-GA state: duplicate client id");
     }
   }
-  r.ExpectEnd();
+  if (cursor != state.size()) {
+    throw fl::CheckpointError("sim checkpoint: FedDG-GA state: trailing bytes");
+  }
 }
 
 }  // namespace pardon::baselines

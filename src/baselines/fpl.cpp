@@ -4,9 +4,10 @@
 #include <map>
 
 #include "clustering/finch.hpp"
-#include "fl/sim_checkpoint.hpp"
 #include "fl/aggregate.hpp"
 #include "fl/local_training.hpp"
+#include "fl/sim_checkpoint.hpp"
+#include "fl/wire.hpp"
 #include "nn/losses.hpp"
 #include "tensor/ops.hpp"
 
@@ -111,14 +112,16 @@ std::vector<float> Fpl::Aggregate(std::span<const float> /*global_params*/,
 
 std::vector<std::uint8_t> Fpl::SaveRoundState() const {
   if (prototypes_.size() == 0) return {};  // round 1: nothing to carry over
-  fl::ByteWriter w;
-  w.WriteI64(prototypes_.dim(0));
-  w.WriteI64(prototypes_.dim(1));
-  w.WriteF32Vector({prototypes_.data(),
-                    static_cast<std::size_t>(prototypes_.size())});
-  w.WriteU32(static_cast<std::uint32_t>(prototype_classes_.size()));
-  for (const int y : prototype_classes_) w.WriteI32(y);
-  return w.Take();
+  std::vector<std::uint8_t> out;
+  fl::wire::PutU64(out, static_cast<std::uint64_t>(prototypes_.dim(0)));
+  fl::wire::PutU64(out, static_cast<std::uint64_t>(prototypes_.dim(1)));
+  fl::wire::PutFloatsU64(out, prototypes_.data(),
+                         static_cast<std::size_t>(prototypes_.size()));
+  fl::wire::PutU32(out, static_cast<std::uint32_t>(prototype_classes_.size()));
+  for (const int y : prototype_classes_) {
+    fl::wire::PutU32(out, static_cast<std::uint32_t>(y));
+  }
+  return out;
 }
 
 void Fpl::LoadRoundState(std::span<const std::uint8_t> state) {
@@ -127,23 +130,32 @@ void Fpl::LoadRoundState(std::span<const std::uint8_t> state) {
     prototype_classes_.clear();
     return;
   }
-  fl::ByteReader r(state);
-  const std::int64_t rows = r.ReadI64();
-  const std::int64_t dim = r.ReadI64();
+  std::size_t cursor = 0;
+  const auto rows = static_cast<std::int64_t>(fl::wire::GetU64(state, cursor));
+  const auto dim = static_cast<std::int64_t>(fl::wire::GetU64(state, cursor));
   if (rows <= 0 || dim <= 0) {
-    throw fl::CheckpointError("FPL state: non-positive prototype shape");
+    throw fl::CheckpointError(
+        "sim checkpoint: FPL state: non-positive prototype shape");
   }
-  const std::vector<float> data = r.ReadF32Vector();
-  if (static_cast<std::int64_t>(data.size()) != rows * dim) {
-    throw fl::CheckpointError("FPL state: prototype data/shape mismatch");
+  const std::vector<float> data = fl::wire::GetFloatsU64(state, cursor);
+  // Divide, never multiply: a corrupt shape cannot overflow the check.
+  const auto size = static_cast<std::int64_t>(data.size());
+  if (size % dim != 0 || size / dim != rows) {
+    throw fl::CheckpointError(
+        "sim checkpoint: FPL state: prototype data/shape mismatch");
   }
-  const std::uint32_t num_classes = r.ReadU32();
+  const std::uint32_t num_classes = fl::wire::GetU32(state, cursor);
   if (num_classes != static_cast<std::uint32_t>(rows)) {
-    throw fl::CheckpointError("FPL state: class-id count != prototype rows");
+    throw fl::CheckpointError(
+        "sim checkpoint: FPL state: class-id count != prototype rows");
   }
   std::vector<int> classes(num_classes);
-  for (auto& y : classes) y = r.ReadI32();
-  r.ExpectEnd();
+  for (auto& y : classes) {
+    y = static_cast<std::int32_t>(fl::wire::GetU32(state, cursor));
+  }
+  if (cursor != state.size()) {
+    throw fl::CheckpointError("sim checkpoint: FPL state: trailing bytes");
+  }
   tensor::Tensor protos({rows, dim});
   std::copy(data.begin(), data.end(), protos.data());
   prototypes_ = std::move(protos);

@@ -7,7 +7,7 @@ namespace pardon::fl {
 
 void Algorithm::LoadRoundState(std::span<const std::uint8_t> state) {
   if (!state.empty()) {
-    throw CheckpointError("'" + Name() +
+    throw CheckpointError("sim checkpoint: '" + Name() +
                           "' keeps no round state, but the checkpoint "
                           "carries " +
                           std::to_string(state.size()) + " bytes of it");

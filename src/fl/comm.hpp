@@ -14,11 +14,11 @@
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "fl/types.hpp"
+#include "fl/wire.hpp"
 #include "style/style_stats.hpp"
 
 namespace pardon::fl {
@@ -56,11 +56,9 @@ inline constexpr std::size_t kDefaultMaxFramePayload = 256u << 20;
 // Typed framing failure: a corrupted length header or a CRC mismatch on an
 // assembled frame. Unlike UnframeMessage's nullopt (datagram semantics, the
 // caller retries), a stream cannot resynchronize after a bad header — the
-// reader poisons itself and the connection must be torn down.
-class FramingError : public std::runtime_error {
- public:
-  explicit FramingError(const std::string& what) : std::runtime_error(what) {}
-};
+// reader poisons itself and the connection must be torn down. It is the
+// wire codec's decode error, like every other fl-side decode failure.
+using FramingError = wire::WireError;
 
 // Incremental frame assembly for stream transports. Sockets deliver
 // fragments: a frame may arrive one byte at a time, or several frames may

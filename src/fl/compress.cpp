@@ -1,8 +1,8 @@
 #include "fl/compress.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <cstring>
 #include <numeric>
 
 #include "fl/comm.hpp"
@@ -72,8 +72,7 @@ std::size_t TopKCount(std::size_t count, const CompressionConfig& config) {
 }
 
 std::uint16_t Fp16FromFloat(float value) {
-  std::uint32_t f = 0;
-  std::memcpy(&f, &value, 4);
+  const auto f = std::bit_cast<std::uint32_t>(value);
   const auto sign = static_cast<std::uint16_t>((f >> 16) & 0x8000u);
   const std::uint32_t exp = (f >> 23) & 0xffu;
   const std::uint32_t mant = f & 0x007fffffu;
@@ -119,9 +118,7 @@ float Fp16ToFloat(std::uint16_t half) {
   } else {
     f = sign | ((exp + 112u) << 23) | (mant << 13);
   }
-  float value = 0;
-  std::memcpy(&value, &f, 4);
-  return value;
+  return std::bit_cast<float>(f);
 }
 
 std::size_t CompressedSizeBytes(std::size_t count,
@@ -141,14 +138,13 @@ std::vector<std::uint8_t> CompressFloats(std::span<const float> values,
   std::vector<std::uint8_t> out;
   out.reserve(CompressedSizeBytes(values.size(), config));
   wire::PutU8(out, static_cast<std::uint8_t>(config.codec));
+  if (config.codec == Codec::kNone) {
+    // The raw layout is a wire float section: u32 count + f32 values.
+    wire::PutFloats(out, values.data(), values.size());
+    return out;
+  }
   wire::PutU32(out, static_cast<std::uint32_t>(values.size()));
   switch (config.codec) {
-    case Codec::kNone: {
-      const std::size_t offset = out.size();
-      out.resize(offset + values.size() * 4);
-      std::memcpy(out.data() + offset, values.data(), values.size() * 4);
-      break;
-    }
     case Codec::kInt8: {
       RequireFinite(values, Codec::kInt8);
       float max_abs = 0.0f;
@@ -198,82 +194,76 @@ std::vector<std::uint8_t> CompressFloats(std::span<const float> values,
 }
 
 std::vector<float> DecompressFloats(std::span<const std::uint8_t> bytes) {
-  try {
-    std::size_t cursor = 0;
-    const std::uint8_t tag = wire::GetU8(bytes, cursor);
-    const std::uint32_t count = wire::GetU32(bytes, cursor);
-    std::vector<float> values;
-    switch (static_cast<Codec>(tag)) {
-      case Codec::kNone: {
-        wire::CheckAvail(bytes, cursor, static_cast<std::size_t>(count) * 4,
-                         "raw f32 payload");
-        values.resize(count);
-        std::memcpy(values.data(), bytes.data() + cursor,
-                    static_cast<std::size_t>(count) * 4);
-        cursor += static_cast<std::size_t>(count) * 4;
-        break;
+  std::size_t cursor = 0;
+  const std::uint8_t tag = wire::GetU8(bytes, cursor);
+  // Every codec's section opens with the u32 element count.
+  const std::size_t section = cursor;
+  const std::uint32_t count = wire::GetU32(bytes, cursor);
+  std::vector<float> values;
+  switch (static_cast<Codec>(tag)) {
+    case Codec::kNone:
+      // The raw layout is a wire float section: u32 count + f32 values.
+      cursor = section;
+      values = wire::GetFloats(bytes, cursor);
+      break;
+    case Codec::kInt8: {
+      const float scale = wire::GetF32(bytes, cursor);
+      if (!std::isfinite(scale) || scale < 0.0f) {
+        throw CompressError("compress: corrupt int8 scale");
       }
-      case Codec::kInt8: {
-        const float scale = wire::GetF32(bytes, cursor);
-        if (!std::isfinite(scale) || scale < 0.0f) {
-          throw CompressError("compress: corrupt int8 scale");
-        }
-        wire::CheckAvail(bytes, cursor, count, "int8 payload");
-        values.resize(count);
-        for (std::uint32_t i = 0; i < count; ++i) {
-          const auto q = static_cast<std::int8_t>(bytes[cursor + i]);
-          values[i] = static_cast<float>(q) * scale;
-        }
-        cursor += count;
-        break;
+      wire::CheckAvail(bytes, cursor, count, "int8 payload");
+      values.resize(count);
+      for (std::uint32_t i = 0; i < count; ++i) {
+        const auto q = static_cast<std::int8_t>(bytes[cursor + i]);
+        values[i] = static_cast<float>(q) * scale;
       }
-      case Codec::kFp16: {
-        wire::CheckAvail(bytes, cursor, static_cast<std::size_t>(count) * 2,
-                         "fp16 payload");
-        values.resize(count);
-        for (std::uint32_t i = 0; i < count; ++i) {
-          std::size_t c = cursor + static_cast<std::size_t>(i) * 2;
-          values[i] = Fp16ToFloat(wire::GetU16(bytes, c));
-        }
-        cursor += static_cast<std::size_t>(count) * 2;
-        break;
-      }
-      case Codec::kTopK: {
-        if (count > kMaxDecompressElements) {
-          throw CompressError("compress: top-k element count " +
-                              std::to_string(count) + " exceeds decode limit");
-        }
-        const std::uint32_t k = wire::GetU32(bytes, cursor);
-        if (k > count) {
-          throw CompressError("compress: top-k k exceeds element count");
-        }
-        wire::CheckAvail(bytes, cursor, static_cast<std::size_t>(k) * 8,
-                         "top-k payload");
-        values.assign(count, 0.0f);
-        std::int64_t previous = -1;
-        for (std::uint32_t i = 0; i < k; ++i) {
-          const std::uint32_t index = wire::GetU32(bytes, cursor);
-          const float value = wire::GetF32(bytes, cursor);
-          if (index >= count || static_cast<std::int64_t>(index) <= previous) {
-            throw CompressError(
-                "compress: top-k indices not strictly increasing in range");
-          }
-          previous = index;
-          values[index] = value;
-        }
-        break;
-      }
-      default:
-        throw CompressError("compress: unknown codec tag " +
-                            std::to_string(tag));
+      cursor += count;
+      break;
     }
-    if (cursor != bytes.size()) {
-      throw CompressError("compress: trailing bytes after payload");
+    case Codec::kFp16: {
+      wire::CheckAvail(bytes, cursor, static_cast<std::size_t>(count) * 2,
+                       "fp16 payload");
+      values.resize(count);
+      for (std::uint32_t i = 0; i < count; ++i) {
+        std::size_t c = cursor + static_cast<std::size_t>(i) * 2;
+        values[i] = Fp16ToFloat(wire::GetU16(bytes, c));
+      }
+      cursor += static_cast<std::size_t>(count) * 2;
+      break;
     }
-    return values;
-  } catch (const wire::WireError& error) {
-    throw CompressError(std::string("compress: ") + error.what());
+    case Codec::kTopK: {
+      if (count > kMaxDecompressElements) {
+        throw CompressError("compress: top-k element count " +
+                            std::to_string(count) + " exceeds decode limit");
+      }
+      const std::uint32_t k = wire::GetU32(bytes, cursor);
+      if (k > count) {
+        throw CompressError("compress: top-k k exceeds element count");
+      }
+      wire::CheckAvail(bytes, cursor, static_cast<std::size_t>(k) * 8,
+                       "top-k payload");
+      values.assign(count, 0.0f);
+      std::int64_t previous = -1;
+      for (std::uint32_t i = 0; i < k; ++i) {
+        const std::uint32_t index = wire::GetU32(bytes, cursor);
+        const float value = wire::GetF32(bytes, cursor);
+        if (index >= count || static_cast<std::int64_t>(index) <= previous) {
+          throw CompressError(
+              "compress: top-k indices not strictly increasing in range");
+        }
+        previous = index;
+        values[index] = value;
+      }
+      break;
+    }
+    default:
+      throw CompressError("compress: unknown codec tag " +
+                          std::to_string(tag));
   }
+  if (cursor != bytes.size()) {
+    throw CompressError("compress: trailing bytes after payload");
+  }
+  return values;
 }
 
 std::vector<std::uint8_t> EncodeClientUpdateCompressed(
@@ -298,41 +288,37 @@ std::vector<std::uint8_t> EncodeClientUpdateCompressed(
 
 ClientUpdate DecodeClientUpdateCompressed(
     std::span<const std::uint8_t> bytes) {
-  try {
-    ClientUpdate update;
-    std::size_t cursor = 0;
-    update.params = DecompressFloats(wire::GetBytes(bytes, cursor));
-    update.num_samples = wire::GetU32(bytes, cursor);
-    update.loss_before = wire::GetF64(bytes, cursor);
-    update.loss_after = wire::GetF64(bytes, cursor);
-    const std::vector<float> proto_values = wire::GetFloats(bytes, cursor);
-    const std::uint32_t proto_dim = wire::GetU32(bytes, cursor);
-    const std::uint32_t proto_count = wire::GetU32(bytes, cursor);
-    // Validate the announced count against the bytes actually present before
-    // allocating: a corrupted header must not be able to demand gigabytes.
-    wire::CheckAvail(bytes, cursor, static_cast<std::size_t>(proto_count) * 4,
-                     "prototype class section");
-    update.prototype_class.reserve(proto_count);
-    for (std::uint32_t i = 0; i < proto_count; ++i) {
-      update.prototype_class.push_back(
-          static_cast<int>(wire::GetU32(bytes, cursor)));
-    }
-    if (proto_dim > 0 && !proto_values.empty()) {
-      if (proto_values.size() % proto_dim != 0) {
-        throw CompressError("compress: prototype section not a [P, D] matrix");
-      }
-      update.prototypes = tensor::Tensor(
-          {static_cast<std::int64_t>(proto_values.size() / proto_dim),
-           static_cast<std::int64_t>(proto_dim)},
-          proto_values);
-    }
-    if (cursor != bytes.size()) {
-      throw CompressError("compress: trailing bytes after client update");
-    }
-    return update;
-  } catch (const wire::WireError& error) {
-    throw CompressError(std::string("compress: ") + error.what());
+  ClientUpdate update;
+  std::size_t cursor = 0;
+  update.params = DecompressFloats(wire::GetBytes(bytes, cursor));
+  update.num_samples = wire::GetU32(bytes, cursor);
+  update.loss_before = wire::GetF64(bytes, cursor);
+  update.loss_after = wire::GetF64(bytes, cursor);
+  const std::vector<float> proto_values = wire::GetFloats(bytes, cursor);
+  const std::uint32_t proto_dim = wire::GetU32(bytes, cursor);
+  const std::uint32_t proto_count = wire::GetU32(bytes, cursor);
+  // Validate the announced count against the bytes actually present before
+  // allocating: a corrupted header must not be able to demand gigabytes.
+  wire::CheckAvail(bytes, cursor, static_cast<std::size_t>(proto_count) * 4,
+                   "prototype class section");
+  update.prototype_class.reserve(proto_count);
+  for (std::uint32_t i = 0; i < proto_count; ++i) {
+    update.prototype_class.push_back(
+        static_cast<int>(wire::GetU32(bytes, cursor)));
   }
+  if (proto_dim > 0 && !proto_values.empty()) {
+    if (proto_values.size() % proto_dim != 0) {
+      throw CompressError("compress: prototype section not a [P, D] matrix");
+    }
+    update.prototypes = tensor::Tensor(
+        {static_cast<std::int64_t>(proto_values.size() / proto_dim),
+         static_cast<std::int64_t>(proto_dim)},
+        proto_values);
+  }
+  if (cursor != bytes.size()) {
+    throw CompressError("compress: trailing bytes after client update");
+  }
+  return update;
 }
 
 CompressingAlgorithm::CompressingAlgorithm(std::unique_ptr<Algorithm> inner,

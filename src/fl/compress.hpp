@@ -22,21 +22,20 @@
 #include <memory>
 #include <optional>
 #include <span>
-#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "fl/algorithm.hpp"
+#include "fl/wire.hpp"
 
 namespace pardon::fl {
 
 // Typed compression failure: non-finite input to a codec that cannot
-// represent it, or a malformed/truncated/corrupt blob on decode.
-class CompressError : public std::runtime_error {
- public:
-  explicit CompressError(const std::string& what) : std::runtime_error(what) {}
-};
+// represent it, or a malformed/truncated/corrupt blob on decode. It is the
+// wire codec's decode error, so truncation caught by fl::wire needs no
+// re-wrapping.
+using CompressError = wire::WireError;
 
 enum class Codec : std::uint8_t {
   kNone = 0,  // raw f32 passthrough (5-byte header of overhead)

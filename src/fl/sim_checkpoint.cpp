@@ -5,7 +5,6 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <type_traits>
 
 #include "fl/comm.hpp"
 #include "tensor/io.hpp"
@@ -13,6 +12,24 @@
 namespace pardon::fl {
 
 namespace {
+
+using wire::GetF32;
+using wire::GetF64;
+using wire::GetFloatsU64;
+using wire::GetString;
+using wire::GetU32;
+using wire::GetU64;
+using wire::GetU8;
+using wire::PutF32;
+using wire::PutF64;
+using wire::PutFloatsU64;
+using wire::PutString;
+using wire::PutU32;
+using wire::PutU64;
+using wire::PutU8;
+
+using Bytes = std::vector<std::uint8_t>;
+using Input = std::span<const std::uint8_t>;
 
 constexpr char kMagic[4] = {'P', 'S', 'C', 'K'};
 constexpr std::uint32_t kVersion = 1;
@@ -24,12 +41,29 @@ constexpr std::size_t kTrailerSize = 4;
 constexpr std::uint32_t kMaxStringLength = 1u << 16;
 constexpr std::uint32_t kMaxSeriesCount = 1u << 16;
 
-template <typename T>
-T LoadPodAt(std::span<const std::uint8_t> bytes, std::size_t offset) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  T value{};
-  std::memcpy(&value, bytes.data() + offset, sizeof(T));
-  return value;
+[[noreturn]] void Fail(const std::string& what) {
+  throw CheckpointError("sim checkpoint: " + what);
+}
+
+// Signed fields travel as their two's-complement bit patterns.
+std::int32_t GetI32(Input in, std::size_t& cursor) {
+  return static_cast<std::int32_t>(GetU32(in, cursor));
+}
+std::int64_t GetI64(Input in, std::size_t& cursor) {
+  return static_cast<std::int64_t>(GetU64(in, cursor));
+}
+void PutI32(Bytes& out, std::int32_t v) {
+  PutU32(out, static_cast<std::uint32_t>(v));
+}
+void PutI64(Bytes& out, std::int64_t v) {
+  PutU64(out, static_cast<std::uint64_t>(v));
+}
+
+// wire::GetString plus the length cap.
+std::string GetName(Input in, std::size_t& cursor) {
+  std::size_t peek = cursor;
+  if (GetU32(in, peek) > kMaxStringLength) Fail("implausible string length");
+  return GetString(in, cursor);
 }
 
 std::string SanitizeAlgorithmName(const std::string& name) {
@@ -40,351 +74,229 @@ std::string SanitizeAlgorithmName(const std::string& name) {
   return out;
 }
 
-void WriteFaultPlan(ByteWriter& w, const FaultPlan& plan) {
-  w.WriteF64(plan.unavailability);
-  w.WriteF64(plan.dropout);
-  w.WriteF64(plan.corruption);
-  w.WriteI32(plan.max_retries);
-  w.WriteF64(plan.retry_backoff_seconds);
-  w.WriteF64(plan.straggler_fraction);
-  w.WriteF64(plan.straggler_delay_seconds);
-  w.WriteU64(plan.salt);
+void PutFaultPlan(Bytes& out, const FaultPlan& plan) {
+  PutF64(out, plan.unavailability);
+  PutF64(out, plan.dropout);
+  PutF64(out, plan.corruption);
+  PutI32(out, plan.max_retries);
+  PutF64(out, plan.retry_backoff_seconds);
+  PutF64(out, plan.straggler_fraction);
+  PutF64(out, plan.straggler_delay_seconds);
+  PutU64(out, plan.salt);
 }
 
-FaultPlan ReadFaultPlan(ByteReader& r) {
+FaultPlan GetFaultPlan(Input in, std::size_t& cursor) {
   FaultPlan plan;
-  plan.unavailability = r.ReadF64();
-  plan.dropout = r.ReadF64();
-  plan.corruption = r.ReadF64();
-  plan.max_retries = r.ReadI32();
-  plan.retry_backoff_seconds = r.ReadF64();
-  plan.straggler_fraction = r.ReadF64();
-  plan.straggler_delay_seconds = r.ReadF64();
-  plan.salt = r.ReadU64();
+  plan.unavailability = GetF64(in, cursor);
+  plan.dropout = GetF64(in, cursor);
+  plan.corruption = GetF64(in, cursor);
+  plan.max_retries = GetI32(in, cursor);
+  plan.retry_backoff_seconds = GetF64(in, cursor);
+  plan.straggler_fraction = GetF64(in, cursor);
+  plan.straggler_delay_seconds = GetF64(in, cursor);
+  plan.salt = GetU64(in, cursor);
   return plan;
 }
 
-void WriteConfig(ByteWriter& w, const FlConfig& config) {
-  w.WriteU64(config.seed);
-  w.WriteI32(config.total_clients);
-  w.WriteI32(config.participants_per_round);
-  w.WriteI32(config.rounds);
-  w.WriteI32(config.local_epochs);
-  w.WriteI32(config.batch_size);
-  w.WriteU8(static_cast<std::uint8_t>(config.sampling));
-  w.WriteU8(static_cast<std::uint8_t>(config.optimizer.kind));
-  w.WriteF32(config.optimizer.lr);
-  w.WriteF32(config.optimizer.momentum);
-  w.WriteF32(config.optimizer.weight_decay);
-  w.WriteF64(config.client_dropout);
-  WriteFaultPlan(w, config.faults);
-  w.WriteU8(static_cast<std::uint8_t>(config.aggregation));
-  w.WriteI32(config.max_inflight_updates);
-  w.WriteI32(config.eval_every);
-  w.WriteF64(config.target_accuracy);
+void PutConfig(Bytes& out, const FlConfig& config) {
+  PutU64(out, config.seed);
+  PutI32(out, config.total_clients);
+  PutI32(out, config.participants_per_round);
+  PutI32(out, config.rounds);
+  PutI32(out, config.local_epochs);
+  PutI32(out, config.batch_size);
+  PutU8(out, static_cast<std::uint8_t>(config.sampling));
+  PutU8(out, static_cast<std::uint8_t>(config.optimizer.kind));
+  PutF32(out, config.optimizer.lr);
+  PutF32(out, config.optimizer.momentum);
+  PutF32(out, config.optimizer.weight_decay);
+  PutF64(out, config.client_dropout);
+  PutFaultPlan(out, config.faults);
+  PutU8(out, static_cast<std::uint8_t>(config.aggregation));
+  PutI32(out, config.max_inflight_updates);
+  PutI32(out, config.eval_every);
+  PutF64(out, config.target_accuracy);
 }
 
-FlConfig ReadConfig(ByteReader& r) {
+FlConfig GetConfig(Input in, std::size_t& cursor) {
   FlConfig config;
-  config.seed = r.ReadU64();
-  config.total_clients = r.ReadI32();
-  config.participants_per_round = r.ReadI32();
-  config.rounds = r.ReadI32();
-  config.local_epochs = r.ReadI32();
-  config.batch_size = r.ReadI32();
-  config.sampling = static_cast<SamplingStrategy>(r.ReadU8());
-  config.optimizer.kind = static_cast<nn::OptimizerOptions::Kind>(r.ReadU8());
-  config.optimizer.lr = r.ReadF32();
-  config.optimizer.momentum = r.ReadF32();
-  config.optimizer.weight_decay = r.ReadF32();
-  config.client_dropout = r.ReadF64();
-  config.faults = ReadFaultPlan(r);
-  config.aggregation = static_cast<AggregationMode>(r.ReadU8());
-  config.max_inflight_updates = r.ReadI32();
-  config.eval_every = r.ReadI32();
-  config.target_accuracy = r.ReadF64();
+  config.seed = GetU64(in, cursor);
+  config.total_clients = GetI32(in, cursor);
+  config.participants_per_round = GetI32(in, cursor);
+  config.rounds = GetI32(in, cursor);
+  config.local_epochs = GetI32(in, cursor);
+  config.batch_size = GetI32(in, cursor);
+  config.sampling = static_cast<SamplingStrategy>(GetU8(in, cursor));
+  config.optimizer.kind =
+      static_cast<nn::OptimizerOptions::Kind>(GetU8(in, cursor));
+  config.optimizer.lr = GetF32(in, cursor);
+  config.optimizer.momentum = GetF32(in, cursor);
+  config.optimizer.weight_decay = GetF32(in, cursor);
+  config.client_dropout = GetF64(in, cursor);
+  config.faults = GetFaultPlan(in, cursor);
+  config.aggregation = static_cast<AggregationMode>(GetU8(in, cursor));
+  config.max_inflight_updates = GetI32(in, cursor);
+  config.eval_every = GetI32(in, cursor);
+  config.target_accuracy = GetF64(in, cursor);
   return config;
 }
 
-void WriteCosts(ByteWriter& w, const CostBreakdown& costs) {
-  w.WriteF64(costs.one_time_seconds);
-  w.WriteF64(costs.local_train_seconds);
-  w.WriteI64(costs.client_rounds);
-  w.WriteF64(costs.aggregate_seconds);
-  w.WriteI64(costs.aggregate_rounds);
-  w.WriteI64(costs.no_show_clients);
-  w.WriteI64(costs.dropped_updates);
-  w.WriteI64(costs.straggler_events);
-  w.WriteF64(costs.straggler_delay_seconds);
-  w.WriteI64(costs.corrupted_messages);
-  w.WriteI64(costs.retransmissions);
-  w.WriteF64(costs.retry_backoff_seconds);
-  w.WriteI64(costs.updates_lost_to_corruption);
-  w.WriteI64(costs.skipped_rounds);
-  w.WriteF64(costs.event_time_seconds);
+void PutCosts(Bytes& out, const CostBreakdown& costs) {
+  PutF64(out, costs.one_time_seconds);
+  PutF64(out, costs.local_train_seconds);
+  PutI64(out, costs.client_rounds);
+  PutF64(out, costs.aggregate_seconds);
+  PutI64(out, costs.aggregate_rounds);
+  PutI64(out, costs.no_show_clients);
+  PutI64(out, costs.dropped_updates);
+  PutI64(out, costs.straggler_events);
+  PutF64(out, costs.straggler_delay_seconds);
+  PutI64(out, costs.corrupted_messages);
+  PutI64(out, costs.retransmissions);
+  PutF64(out, costs.retry_backoff_seconds);
+  PutI64(out, costs.updates_lost_to_corruption);
+  PutI64(out, costs.skipped_rounds);
+  PutF64(out, costs.event_time_seconds);
 }
 
-CostBreakdown ReadCosts(ByteReader& r) {
+CostBreakdown GetCosts(Input in, std::size_t& cursor) {
   CostBreakdown costs;
-  costs.one_time_seconds = r.ReadF64();
-  costs.local_train_seconds = r.ReadF64();
-  costs.client_rounds = r.ReadI64();
-  costs.aggregate_seconds = r.ReadF64();
-  costs.aggregate_rounds = r.ReadI64();
-  costs.no_show_clients = r.ReadI64();
-  costs.dropped_updates = r.ReadI64();
-  costs.straggler_events = r.ReadI64();
-  costs.straggler_delay_seconds = r.ReadF64();
-  costs.corrupted_messages = r.ReadI64();
-  costs.retransmissions = r.ReadI64();
-  costs.retry_backoff_seconds = r.ReadF64();
-  costs.updates_lost_to_corruption = r.ReadI64();
-  costs.skipped_rounds = r.ReadI64();
-  costs.event_time_seconds = r.ReadF64();
+  costs.one_time_seconds = GetF64(in, cursor);
+  costs.local_train_seconds = GetF64(in, cursor);
+  costs.client_rounds = GetI64(in, cursor);
+  costs.aggregate_seconds = GetF64(in, cursor);
+  costs.aggregate_rounds = GetI64(in, cursor);
+  costs.no_show_clients = GetI64(in, cursor);
+  costs.dropped_updates = GetI64(in, cursor);
+  costs.straggler_events = GetI64(in, cursor);
+  costs.straggler_delay_seconds = GetF64(in, cursor);
+  costs.corrupted_messages = GetI64(in, cursor);
+  costs.retransmissions = GetI64(in, cursor);
+  costs.retry_backoff_seconds = GetF64(in, cursor);
+  costs.updates_lost_to_corruption = GetI64(in, cursor);
+  costs.skipped_rounds = GetI64(in, cursor);
+  costs.event_time_seconds = GetF64(in, cursor);
   return costs;
 }
 
 template <typename T>
 void CheckField(const char* name, const T& saved, const T& run) {
   if (saved != run) {
-    throw CheckpointError(std::string("resume config mismatch on '") + name +
-                          "' — the checkpoint belongs to a different run");
+    Fail(std::string("resume config mismatch on '") + name +
+         "' — the checkpoint belongs to a different run");
   }
 }
 
 }  // namespace
-
-// -- byte codec --------------------------------------------------------------
-
-namespace {
-template <typename T>
-void AppendPod(std::vector<std::uint8_t>& bytes, T value) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  const std::size_t offset = bytes.size();
-  bytes.resize(offset + sizeof(T));
-  std::memcpy(bytes.data() + offset, &value, sizeof(T));
-}
-}  // namespace
-
-void ByteWriter::WriteU8(std::uint8_t v) { AppendPod(bytes_, v); }
-void ByteWriter::WriteU32(std::uint32_t v) { AppendPod(bytes_, v); }
-void ByteWriter::WriteU64(std::uint64_t v) { AppendPod(bytes_, v); }
-void ByteWriter::WriteI32(std::int32_t v) { AppendPod(bytes_, v); }
-void ByteWriter::WriteI64(std::int64_t v) { AppendPod(bytes_, v); }
-void ByteWriter::WriteF32(float v) { AppendPod(bytes_, v); }
-void ByteWriter::WriteF64(double v) { AppendPod(bytes_, v); }
-
-void ByteWriter::WriteString(const std::string& s) {
-  WriteU32(static_cast<std::uint32_t>(s.size()));
-  const std::size_t offset = bytes_.size();
-  bytes_.resize(offset + s.size());
-  std::memcpy(bytes_.data() + offset, s.data(), s.size());
-}
-
-void ByteWriter::WriteF32Vector(std::span<const float> v) {
-  WriteU64(v.size());
-  const std::size_t offset = bytes_.size();
-  bytes_.resize(offset + v.size() * sizeof(float));
-  std::memcpy(bytes_.data() + offset, v.data(), v.size() * sizeof(float));
-}
-
-void ByteWriter::WriteBytes(std::span<const std::uint8_t> v) {
-  WriteU64(v.size());
-  bytes_.insert(bytes_.end(), v.begin(), v.end());
-}
-
-void ByteReader::Require(std::size_t count) const {
-  if (count > bytes_.size() - offset_) {
-    throw CheckpointError("truncated payload (needed " +
-                          std::to_string(count) + " bytes, " +
-                          std::to_string(bytes_.size() - offset_) +
-                          " remain)");
-  }
-}
-
-namespace {
-template <typename T>
-T TakePod(std::span<const std::uint8_t> bytes, std::size_t& offset) {
-  T value{};
-  std::memcpy(&value, bytes.data() + offset, sizeof(T));
-  offset += sizeof(T);
-  return value;
-}
-}  // namespace
-
-std::uint8_t ByteReader::ReadU8() {
-  Require(sizeof(std::uint8_t));
-  return TakePod<std::uint8_t>(bytes_, offset_);
-}
-std::uint32_t ByteReader::ReadU32() {
-  Require(sizeof(std::uint32_t));
-  return TakePod<std::uint32_t>(bytes_, offset_);
-}
-std::uint64_t ByteReader::ReadU64() {
-  Require(sizeof(std::uint64_t));
-  return TakePod<std::uint64_t>(bytes_, offset_);
-}
-std::int32_t ByteReader::ReadI32() {
-  Require(sizeof(std::int32_t));
-  return TakePod<std::int32_t>(bytes_, offset_);
-}
-std::int64_t ByteReader::ReadI64() {
-  Require(sizeof(std::int64_t));
-  return TakePod<std::int64_t>(bytes_, offset_);
-}
-float ByteReader::ReadF32() {
-  Require(sizeof(float));
-  return TakePod<float>(bytes_, offset_);
-}
-double ByteReader::ReadF64() {
-  Require(sizeof(double));
-  return TakePod<double>(bytes_, offset_);
-}
-
-std::string ByteReader::ReadString() {
-  const std::uint32_t length = ReadU32();
-  if (length > kMaxStringLength) {
-    throw CheckpointError("implausible string length");
-  }
-  Require(length);
-  std::string s(reinterpret_cast<const char*>(bytes_.data() + offset_),
-                length);
-  offset_ += length;
-  return s;
-}
-
-std::vector<float> ByteReader::ReadF32Vector() {
-  const std::uint64_t count = ReadU64();
-  // Divide, never multiply: a corrupted count cannot overflow the check.
-  if (count > remaining() / sizeof(float)) {
-    throw CheckpointError("implausible float vector length");
-  }
-  std::vector<float> v(static_cast<std::size_t>(count));
-  std::memcpy(v.data(), bytes_.data() + offset_, v.size() * sizeof(float));
-  offset_ += v.size() * sizeof(float);
-  return v;
-}
-
-std::vector<std::uint8_t> ByteReader::ReadBytes() {
-  const std::uint64_t count = ReadU64();
-  if (count > remaining()) {
-    throw CheckpointError("implausible byte blob length");
-  }
-  std::vector<std::uint8_t> v(bytes_.begin() + static_cast<std::ptrdiff_t>(offset_),
-                              bytes_.begin() +
-                                  static_cast<std::ptrdiff_t>(offset_ + count));
-  offset_ += static_cast<std::size_t>(count);
-  return v;
-}
-
-void ByteReader::ExpectEnd() const {
-  if (remaining() != 0) {
-    throw CheckpointError("trailing bytes after payload (" +
-                          std::to_string(remaining()) + ")");
-  }
-}
 
 // -- checkpoint serialization ------------------------------------------------
 
 std::vector<std::uint8_t> SerializeSimCheckpoint(const SimCheckpoint& ckpt) {
-  ByteWriter payload;
-  WriteConfig(payload, ckpt.config);
-  payload.WriteString(ckpt.algorithm);
-  payload.WriteI32(ckpt.round);
-  payload.WriteF32Vector(ckpt.global_params);
-  payload.WriteU64(ckpt.root_rng.state);
-  payload.WriteU64(ckpt.root_rng.inc);
-  payload.WriteU8(ckpt.root_rng.has_cached_gaussian ? 1 : 0);
-  payload.WriteF32(ckpt.root_rng.cached_gaussian);
-  payload.WriteBytes(ckpt.algorithm_state);
-  WriteCosts(payload, ckpt.costs);
-  payload.WriteI64(ckpt.peak_resident_updates);
+  Bytes body;
+  PutConfig(body, ckpt.config);
+  PutString(body, ckpt.algorithm);
+  PutI32(body, ckpt.round);
+  PutFloatsU64(body, ckpt.global_params.data(), ckpt.global_params.size());
+  PutU64(body, ckpt.root_rng.state);
+  PutU64(body, ckpt.root_rng.inc);
+  PutU8(body, ckpt.root_rng.has_cached_gaussian ? 1 : 0);
+  PutF32(body, ckpt.root_rng.cached_gaussian);
+  PutU64(body, ckpt.algorithm_state.size());
+  body.insert(body.end(), ckpt.algorithm_state.begin(),
+              ckpt.algorithm_state.end());
+  PutCosts(body, ckpt.costs);
+  PutI64(body, ckpt.peak_resident_updates);
   const std::vector<std::string> series = ckpt.recorder.SeriesNames();
-  payload.WriteU32(static_cast<std::uint32_t>(series.size()));
+  PutU32(body, static_cast<std::uint32_t>(series.size()));
   for (const std::string& name : series) {
-    payload.WriteString(name);
+    PutString(body, name);
     const std::vector<int> rounds = ckpt.recorder.Rounds(name);
     const std::vector<double> values = ckpt.recorder.Values(name);
-    payload.WriteU32(static_cast<std::uint32_t>(rounds.size()));
+    PutU32(body, static_cast<std::uint32_t>(rounds.size()));
     for (std::size_t i = 0; i < rounds.size(); ++i) {
-      payload.WriteI32(rounds[i]);
-      payload.WriteF64(values[i]);
+      PutI32(body, rounds[i]);
+      PutF64(body, values[i]);
     }
   }
 
-  const std::vector<std::uint8_t> body = payload.Take();
-  ByteWriter file;
-  file.WriteU8(static_cast<std::uint8_t>(kMagic[0]));
-  file.WriteU8(static_cast<std::uint8_t>(kMagic[1]));
-  file.WriteU8(static_cast<std::uint8_t>(kMagic[2]));
-  file.WriteU8(static_cast<std::uint8_t>(kMagic[3]));
-  file.WriteU32(kVersion);
-  file.WriteU64(body.size());
-  std::vector<std::uint8_t> bytes = file.Take();
+  Bytes bytes(std::begin(kMagic), std::end(kMagic));
+  PutU32(bytes, kVersion);
+  PutU64(bytes, body.size());
   bytes.insert(bytes.end(), body.begin(), body.end());
-  AppendPod(bytes, Crc32(body));
+  PutU32(bytes, Crc32(body));
   return bytes;
 }
 
 SimCheckpoint ParseSimCheckpoint(std::span<const std::uint8_t> bytes) {
   if (bytes.size() < kHeaderSize + kTrailerSize) {
-    throw CheckpointError("file too short for header (" +
-                          std::to_string(bytes.size()) + " bytes)");
+    Fail("file too short for header (" + std::to_string(bytes.size()) +
+         " bytes)");
   }
   if (std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {
-    throw CheckpointError("bad magic (not a simulator checkpoint)");
+    Fail("bad magic (not a simulator checkpoint)");
   }
-  const auto version = LoadPodAt<std::uint32_t>(bytes, 4);
+  std::size_t cursor = sizeof(kMagic);
+  const std::uint32_t version = GetU32(bytes, cursor);
   if (version != kVersion) {
-    throw CheckpointError("unsupported version " + std::to_string(version) +
-                          " (expected " + std::to_string(kVersion) + ")");
+    Fail("unsupported version " + std::to_string(version) + " (expected " +
+         std::to_string(kVersion) + ")");
   }
-  const auto payload_size = LoadPodAt<std::uint64_t>(bytes, 8);
+  const std::uint64_t payload_size = GetU64(bytes, cursor);
   if (payload_size != bytes.size() - kHeaderSize - kTrailerSize) {
-    throw CheckpointError(
-        "payload size mismatch (header says " + std::to_string(payload_size) +
-        ", file holds " +
-        std::to_string(bytes.size() - kHeaderSize - kTrailerSize) + ")");
+    Fail("payload size mismatch (header says " + std::to_string(payload_size) +
+         ", file holds " +
+         std::to_string(bytes.size() - kHeaderSize - kTrailerSize) + ")");
   }
-  const std::span<const std::uint8_t> payload =
+  const Input payload =
       bytes.subspan(kHeaderSize, static_cast<std::size_t>(payload_size));
-  const auto stored_crc =
-      LoadPodAt<std::uint32_t>(bytes, bytes.size() - kTrailerSize);
-  if (Crc32(payload) != stored_crc) {
-    throw CheckpointError("CRC-32 mismatch (corrupted payload)");
+  std::size_t crc_cursor = bytes.size() - kTrailerSize;
+  if (Crc32(payload) != GetU32(bytes, crc_cursor)) {
+    Fail("CRC-32 mismatch (corrupted payload)");
   }
 
-  ByteReader r(payload);
+  cursor = 0;
   SimCheckpoint ckpt;
-  ckpt.config = ReadConfig(r);
-  ckpt.algorithm = r.ReadString();
-  ckpt.round = r.ReadI32();
-  ckpt.global_params = r.ReadF32Vector();
-  ckpt.root_rng.state = r.ReadU64();
-  ckpt.root_rng.inc = r.ReadU64();
-  ckpt.root_rng.has_cached_gaussian = r.ReadU8() != 0;
-  ckpt.root_rng.cached_gaussian = r.ReadF32();
-  ckpt.algorithm_state = r.ReadBytes();
-  ckpt.costs = ReadCosts(r);
-  ckpt.peak_resident_updates = r.ReadI64();
-  const std::uint32_t num_series = r.ReadU32();
+  ckpt.config = GetConfig(payload, cursor);
+  ckpt.algorithm = GetName(payload, cursor);
+  ckpt.round = GetI32(payload, cursor);
+  ckpt.global_params = GetFloatsU64(payload, cursor);
+  ckpt.root_rng.state = GetU64(payload, cursor);
+  ckpt.root_rng.inc = GetU64(payload, cursor);
+  ckpt.root_rng.has_cached_gaussian = GetU8(payload, cursor) != 0;
+  ckpt.root_rng.cached_gaussian = GetF32(payload, cursor);
+  const std::uint64_t state_size = GetU64(payload, cursor);
+  if (state_size > payload.size() - cursor) {
+    Fail("implausible byte blob length");
+  }
+  const Input state =
+      payload.subspan(cursor, static_cast<std::size_t>(state_size));
+  ckpt.algorithm_state.assign(state.begin(), state.end());
+  cursor += state.size();
+  ckpt.costs = GetCosts(payload, cursor);
+  ckpt.peak_resident_updates = GetI64(payload, cursor);
+  const std::uint32_t num_series = GetU32(payload, cursor);
   if (num_series > kMaxSeriesCount) {
-    throw CheckpointError("implausible recorder series count");
+    Fail("implausible recorder series count");
   }
   for (std::uint32_t s = 0; s < num_series; ++s) {
-    const std::string name = r.ReadString();
-    const std::uint32_t count = r.ReadU32();
+    const std::string name = GetName(payload, cursor);
+    const std::uint32_t count = GetU32(payload, cursor);
     if (count > kMaxSeriesCount) {
-      throw CheckpointError("implausible recorder entry count");
+      Fail("implausible recorder entry count");
     }
     for (std::uint32_t i = 0; i < count; ++i) {
-      const std::int32_t round = r.ReadI32();
-      const double value = r.ReadF64();
+      const std::int32_t round = GetI32(payload, cursor);
+      const double value = GetF64(payload, cursor);
       ckpt.recorder.Record(name, round, value);
     }
   }
-  r.ExpectEnd();
-  if (ckpt.round < 0) throw CheckpointError("negative round index");
+  // A parser that consumed less than the payload read a different structure
+  // than was written.
+  if (cursor != payload.size()) {
+    Fail("trailing bytes after payload (" +
+         std::to_string(payload.size() - cursor) + ")");
+  }
+  if (ckpt.round < 0) Fail("negative round index");
   return ckpt;
 }
 
@@ -394,7 +306,7 @@ void SaveSimCheckpoint(const std::string& path, const SimCheckpoint& ckpt) {
 
 SimCheckpoint LoadSimCheckpoint(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
-  if (!in) throw CheckpointError("cannot open " + path);
+  if (!in) Fail("cannot open " + path);
   std::vector<std::uint8_t> bytes(
       (std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
   return ParseSimCheckpoint(bytes);
@@ -404,14 +316,13 @@ void ValidateForResume(const SimCheckpoint& ckpt, const FlConfig& config,
                        const std::string& algorithm_name,
                        std::size_t param_count) {
   if (ckpt.algorithm != algorithm_name) {
-    throw CheckpointError("algorithm mismatch (checkpoint '" + ckpt.algorithm +
-                          "' vs run '" + algorithm_name + "')");
+    Fail("algorithm mismatch (checkpoint '" + ckpt.algorithm + "' vs run '" +
+         algorithm_name + "')");
   }
   if (ckpt.global_params.size() != param_count) {
-    throw CheckpointError(
-        "model parameter count mismatch (checkpoint " +
-        std::to_string(ckpt.global_params.size()) + " vs run " +
-        std::to_string(param_count) + " — model architecture differs)");
+    Fail("model parameter count mismatch (checkpoint " +
+         std::to_string(ckpt.global_params.size()) + " vs run " +
+         std::to_string(param_count) + " — model architecture differs)");
   }
   const FlConfig& saved = ckpt.config;
   CheckField("seed", saved.seed, config.seed);
@@ -455,9 +366,8 @@ void ValidateForResume(const SimCheckpoint& ckpt, const FlConfig& config,
   CheckField("target_accuracy", saved.target_accuracy,
              config.target_accuracy);
   if (ckpt.round > config.rounds) {
-    throw CheckpointError("checkpoint round " + std::to_string(ckpt.round) +
-                          " exceeds the run's " +
-                          std::to_string(config.rounds) + " rounds");
+    Fail("checkpoint round " + std::to_string(ckpt.round) +
+         " exceeds the run's " + std::to_string(config.rounds) + " rounds");
   }
 }
 

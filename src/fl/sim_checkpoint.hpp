@@ -14,9 +14,9 @@
 //
 // The CRC-32 (IEEE 802.3, shared with the fl/comm wire framing) makes every
 // single-byte flip detectable, and payload_size makes every truncation
-// detectable; the payload parser additionally bounds-checks every read, so a
-// corrupted file of any shape raises CheckpointError — never undefined
-// behavior, never silently wrong state. Files are written atomically
+// detectable; the payload parser (fl::wire) additionally bounds-checks every
+// read, so a corrupted file of any shape raises CheckpointError — never
+// undefined behavior, never silently wrong state. Files are written atomically
 // (tensor::AtomicWriteFile): a crash mid-save leaves at worst a stale
 // "*.tmp" alongside intact checkpoints.
 #pragma once
@@ -24,23 +24,21 @@
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "fl/types.hpp"
+#include "fl/wire.hpp"
 #include "metrics/recorder.hpp"
 #include "tensor/rng.hpp"
 
 namespace pardon::fl {
 
 // Raised on every load/validation failure: truncation, corruption, version
-// or magic mismatch, and config/algorithm mismatches on resume.
-class CheckpointError : public std::runtime_error {
- public:
-  explicit CheckpointError(const std::string& what)
-      : std::runtime_error("sim checkpoint: " + what) {}
-};
+// or magic mismatch, and config/algorithm mismatches on resume. It is the
+// wire codec's decode error, so a truncated field and a failed check are
+// caught the same way.
+using CheckpointError = wire::WireError;
 
 struct SimCheckpoint {
   // Echo of the run's FlConfig (checkpoint_* fields excluded — changing the
@@ -94,58 +92,5 @@ std::string CheckpointFileName(const std::string& algorithm,
 std::optional<std::string> FindLatestCheckpoint(const std::string& dir,
                                                 const std::string& algorithm,
                                                 std::uint64_t seed);
-
-// -- bounds-checked byte codec ----------------------------------------------
-// Shared by the checkpoint payload and Algorithm::SaveRoundState
-// implementations (FPL prototypes, FedDG-GA weights). Every Read* checks the
-// remaining length and throws CheckpointError on overrun, so a corrupted
-// blob can never read out of bounds.
-class ByteWriter {
- public:
-  void WriteU8(std::uint8_t v);
-  void WriteU32(std::uint32_t v);
-  void WriteU64(std::uint64_t v);
-  void WriteI32(std::int32_t v);
-  void WriteI64(std::int64_t v);
-  void WriteF32(float v);
-  void WriteF64(double v);
-  void WriteString(const std::string& s);           // u32 length + bytes
-  void WriteF32Vector(std::span<const float> v);    // u64 count + raw f32
-  void WriteBytes(std::span<const std::uint8_t> v); // u64 count + bytes
-
-  const std::vector<std::uint8_t>& bytes() const { return bytes_; }
-  std::vector<std::uint8_t> Take() { return std::move(bytes_); }
-
- private:
-  std::vector<std::uint8_t> bytes_;
-};
-
-class ByteReader {
- public:
-  explicit ByteReader(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
-
-  std::uint8_t ReadU8();
-  std::uint32_t ReadU32();
-  std::uint64_t ReadU64();
-  std::int32_t ReadI32();
-  std::int64_t ReadI64();
-  float ReadF32();
-  double ReadF64();
-  std::string ReadString();
-  std::vector<float> ReadF32Vector();
-  std::vector<std::uint8_t> ReadBytes();
-
-  std::size_t remaining() const { return bytes_.size() - offset_; }
-  // Throws CheckpointError when trailing bytes remain — a parser that
-  // consumed less than the payload read a different structure than was
-  // written.
-  void ExpectEnd() const;
-
- private:
-  void Require(std::size_t count) const;
-
-  std::span<const std::uint8_t> bytes_;
-  std::size_t offset_ = 0;
-};
 
 }  // namespace pardon::fl

@@ -1,5 +1,6 @@
-// Little-endian wire primitives shared by the serialization layers
-// (fl/comm, fl/compress, net/protocol).
+// Little-endian wire primitives: the one bounds-checked byte codec, shared by
+// every serialization layer (fl/comm, fl/compress, net/protocol, the
+// simulator checkpoint, and the Algorithm round-state blobs).
 //
 // Everything on the wire is explicit little-endian regardless of host order,
 // so payloads produced on one machine decode bitwise on another. Readers
@@ -122,24 +123,63 @@ inline double GetF64(std::span<const std::uint8_t> in, std::size_t& cursor) {
   return value;
 }
 
-// u32 count + raw float payload (floats are IEEE-754 and shipped as their
-// little-endian bit patterns, so the round trip is bitwise even for NaN).
-inline void PutFloats(std::vector<std::uint8_t>& out, const float* data,
-                      std::size_t count) {
-  PutU32(out, static_cast<std::uint32_t>(count));
+namespace detail {
+
+// Raw float payload: IEEE-754 values shipped as their little-endian bit
+// patterns, so the round trip is bitwise even for NaN. An empty payload
+// copies nothing: `data` may then be null, and memcpy's pointer arguments
+// must never be, not even for a zero-byte copy.
+inline void PutFloatBits(std::vector<std::uint8_t>& out, const float* data,
+                         std::size_t count) {
+  if (count == 0) return;
   const std::size_t offset = out.size();
   out.resize(offset + count * 4);
   std::memcpy(out.data() + offset, data, count * 4);
+}
+
+// Callers have checked that `count` floats remain.
+inline std::vector<float> TakeFloatBits(std::span<const std::uint8_t> in,
+                                        std::size_t& cursor,
+                                        std::size_t count) {
+  std::vector<float> values(count);
+  if (count == 0) return values;
+  std::memcpy(values.data(), in.data() + cursor, count * 4);
+  cursor += count * 4;
+  return values;
+}
+
+}  // namespace detail
+
+// u32 count + raw float payload.
+inline void PutFloats(std::vector<std::uint8_t>& out, const float* data,
+                      std::size_t count) {
+  PutU32(out, static_cast<std::uint32_t>(count));
+  detail::PutFloatBits(out, data, count);
 }
 
 inline std::vector<float> GetFloats(std::span<const std::uint8_t> in,
                                     std::size_t& cursor) {
   const std::uint32_t count = GetU32(in, cursor);
   CheckAvail(in, cursor, static_cast<std::size_t>(count) * 4, "float section");
-  std::vector<float> values(count);
-  std::memcpy(values.data(), in.data() + cursor, count * 4);
-  cursor += static_cast<std::size_t>(count) * 4;
-  return values;
+  return detail::TakeFloatBits(in, cursor, count);
+}
+
+// u64 count + raw float payload (the simulator checkpoint's parameter
+// vector and the FPL round-state prototypes).
+inline void PutFloatsU64(std::vector<std::uint8_t>& out, const float* data,
+                         std::size_t count) {
+  PutU64(out, count);
+  detail::PutFloatBits(out, data, count);
+}
+
+inline std::vector<float> GetFloatsU64(std::span<const std::uint8_t> in,
+                                       std::size_t& cursor) {
+  const std::uint64_t count = GetU64(in, cursor);
+  // Divide, never multiply: a corrupt count cannot overflow the check.
+  if (count > (in.size() - cursor) / 4) {
+    throw WireError("wire: implausible float section length");
+  }
+  return detail::TakeFloatBits(in, cursor, static_cast<std::size_t>(count));
 }
 
 inline void PutBytes(std::vector<std::uint8_t>& out,

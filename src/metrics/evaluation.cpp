@@ -1,7 +1,6 @@
 #include "metrics/evaluation.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "nn/losses.hpp"
 #include "tensor/ops.hpp"
@@ -130,26 +129,6 @@ double MacroF1(const nn::MlpClassifier& model, const data::Dataset& dataset,
     }
   }
   return present > 0 ? f1_sum / present : 0.0;
-}
-
-DomainFairness DomainFairnessOf(const nn::MlpClassifier& model,
-                                const data::Dataset& dataset,
-                                int eval_batch) {
-  DomainFairness fairness;
-  const std::map<int, double> per_domain =
-      PerDomainAccuracy(model, dataset, eval_batch);
-  if (per_domain.empty()) return fairness;
-  fairness.worst = 1.0;
-  double sum = 0.0, sum_sq = 0.0;
-  for (const auto& [domain, accuracy] : per_domain) {
-    fairness.worst = std::min(fairness.worst, accuracy);
-    fairness.best = std::max(fairness.best, accuracy);
-    sum += accuracy;
-    sum_sq += accuracy * accuracy;
-  }
-  const double n = static_cast<double>(per_domain.size());
-  fairness.stddev = std::sqrt(std::max(sum_sq / n - (sum / n) * (sum / n), 0.0));
-  return fairness;
 }
 
 double MeanLoss(const nn::MlpClassifier& model, const data::Dataset& dataset,

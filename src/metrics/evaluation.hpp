@@ -31,19 +31,6 @@ tensor::Tensor ConfusionMatrix(const nn::MlpClassifier& model,
 double MacroF1(const nn::MlpClassifier& model, const data::Dataset& dataset,
                int eval_batch = 512);
 
-// Domain-fairness summary over PerDomainAccuracy: the worst domain's
-// accuracy and the standard deviation across domains. The paper's societal
-// impact section argues FedDG "promotes fairness ... across diverse domains";
-// this is the quantity that claim cashes out to.
-struct DomainFairness {
-  double worst = 0.0;
-  double best = 0.0;
-  double stddev = 0.0;
-};
-DomainFairness DomainFairnessOf(const nn::MlpClassifier& model,
-                                const data::Dataset& dataset,
-                                int eval_batch = 512);
-
 // Mean cross-entropy of the model on the dataset (used by FedDG-GA's
 // generalization-gap signal).
 double MeanLoss(const nn::MlpClassifier& model, const data::Dataset& dataset,

@@ -113,8 +113,14 @@ ServerResult FlServer::Run(std::span<const float> initial_params) {
       }
       result.wire_update_bytes +=
           static_cast<std::int64_t>(message.payload.size());
-      fl::ClientUpdate update =
-          fl::DecodeClientUpdateCompressed(message.payload);
+      fl::ClientUpdate update;
+      try {
+        update = fl::DecodeClientUpdateCompressed(message.payload);
+      } catch (const fl::CompressError& error) {
+        throw ProtocolError("FlServer: client " + std::to_string(client) +
+                            " sent a malformed Update payload in round " +
+                            std::to_string(round) + " (" + error.what() + ")");
+      }
       result.raw_update_bytes +=
           static_cast<std::int64_t>(fl::EncodeClientUpdate(update).size());
       if (update.params.size() != result.global_params.size()) {

@@ -1,6 +1,5 @@
 // Concrete layers: Linear, ReLU, Tanh, LeakyReLU, Sigmoid, GELU, Softplus,
 // Dropout, BatchNorm1d (FL-aware running statistics), InstanceNorm1d.
-// Convolutional layers live in nn/conv.hpp.
 #pragma once
 
 #include <memory>

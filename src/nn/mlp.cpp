@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "nn/conv.hpp"
 #include "nn/layers.hpp"
 
 namespace pardon::nn {
@@ -17,30 +16,6 @@ MlpClassifier::MlpClassifier(const Config& config) : config_(config) {
     features_.Add(std::make_unique<InstanceNorm1d>());
   }
   std::int64_t prev = config.input_dim;
-  if (!config.conv_channels.empty()) {
-    if (config.conv_height <= 0 || config.conv_width <= 0 ||
-        config.input_dim % (config.conv_height * config.conv_width) != 0) {
-      throw std::invalid_argument(
-          "MlpClassifier: conv front-end needs valid conv_height/conv_width");
-    }
-    std::int64_t channels =
-        config.input_dim / (config.conv_height * config.conv_width);
-    std::int64_t h = config.conv_height;
-    std::int64_t w = config.conv_width;
-    for (const std::int64_t out_channels : config.conv_channels) {
-      features_.Add(std::make_unique<Conv2d>(channels, out_channels, h, w, rng));
-      features_.Add(std::make_unique<Relu>());
-      features_.Add(std::make_unique<MaxPool2d>(out_channels, h, w));
-      channels = out_channels;
-      h /= 2;
-      w /= 2;
-      if (h < 2 || w < 2) {
-        throw std::invalid_argument(
-            "MlpClassifier: too many conv blocks for the spatial size");
-      }
-    }
-    prev = channels * h * w;
-  }
   for (const std::int64_t width : config.hidden) {
     features_.Add(std::make_unique<Linear>(prev, width, rng));
     if (config.batch_norm) {

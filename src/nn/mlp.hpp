@@ -20,13 +20,6 @@ class MlpClassifier {
  public:
   struct Config {
     std::int64_t input_dim = 0;
-    // Optional convolutional front-end: each entry adds a 3x3 Conv -> ReLU ->
-    // 2x2 MaxPool block with that many output channels. Requires conv_height
-    // and conv_width (input is interpreted as [input_dim/(H*W), H, W]); the
-    // spatial dims must stay even through every pooling stage.
-    std::vector<std::int64_t> conv_channels = {};
-    std::int64_t conv_height = 0;
-    std::int64_t conv_width = 0;
     std::vector<std::int64_t> hidden = {64};
     std::int64_t embed_dim = 32;
     std::int64_t num_classes = 2;

@@ -16,7 +16,6 @@
 
 // Neural networks.
 #include "nn/checkpoint.hpp"      // IWYU pragma: export
-#include "nn/conv.hpp"            // IWYU pragma: export
 #include "nn/layers.hpp"          // IWYU pragma: export
 #include "nn/losses.hpp"          // IWYU pragma: export
 #include "nn/mlp.hpp"             // IWYU pragma: export
@@ -24,13 +23,11 @@
 
 // Clustering.
 #include "clustering/finch.hpp"   // IWYU pragma: export
-#include "clustering/kmeans.hpp"  // IWYU pragma: export
 #include "clustering/quality.hpp" // IWYU pragma: export
 
 // Data.
 #include "data/batcher.hpp"           // IWYU pragma: export
 #include "data/dataset.hpp"           // IWYU pragma: export
-#include "data/dataset_io.hpp"        // IWYU pragma: export
 #include "data/domain_generator.hpp"  // IWYU pragma: export
 #include "data/normalize.hpp"         // IWYU pragma: export
 #include "data/partition.hpp"         // IWYU pragma: export
@@ -50,7 +47,6 @@
 #include "fl/comm.hpp"                // IWYU pragma: export
 #include "fl/local_training.hpp"      // IWYU pragma: export
 #include "fl/sampler.hpp"             // IWYU pragma: export
-#include "fl/secure_aggregation.hpp"  // IWYU pragma: export
 #include "fl/simulator.hpp"           // IWYU pragma: export
 
 // FISC and baselines.

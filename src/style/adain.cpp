@@ -1,9 +1,6 @@
 #include "style/adain.hpp"
 
-#include <algorithm>
-#include <numeric>
 #include <stdexcept>
-#include <vector>
 
 #include "tensor/gemm.hpp"
 #include "tensor/ops.hpp"
@@ -40,53 +37,6 @@ Tensor AdaIn(const Tensor& features, const StyleVector& target, float epsilon) {
     }
     for (std::int64_t i = 0; i < hw; ++i) {
       out_plane[i] = scale * (in_plane[i] - mu_src) + mu_dst;
-    }
-  }
-  return out;
-}
-
-Tensor AdaInBlend(const Tensor& features, const StyleVector& target,
-                  float strength, float epsilon) {
-  if (strength < 0.0f || strength > 1.0f) {
-    throw std::invalid_argument("AdaInBlend: strength must be in [0, 1]");
-  }
-  const Tensor transferred = AdaIn(features, target, epsilon);
-  Tensor out(features.shape());
-  for (std::int64_t i = 0; i < out.size(); ++i) {
-    out[i] = (1.0f - strength) * features[i] + strength * transferred[i];
-  }
-  return out;
-}
-
-Tensor HistogramMatch(const Tensor& features, const Tensor& reference) {
-  if (features.rank() != 3 || reference.rank() != 3 ||
-      features.dim(0) != reference.dim(0)) {
-    throw std::invalid_argument("HistogramMatch: channel mismatch");
-  }
-  const std::int64_t c = features.dim(0);
-  const std::int64_t hw = features.dim(1) * features.dim(2);
-  const std::int64_t ref_hw = reference.dim(1) * reference.dim(2);
-  Tensor out(features.shape());
-  std::vector<std::int64_t> order(static_cast<std::size_t>(hw));
-  std::vector<float> ref_sorted(static_cast<std::size_t>(ref_hw));
-  for (std::int64_t ch = 0; ch < c; ++ch) {
-    const float* src = features.data() + ch * hw;
-    const float* ref = reference.data() + ch * ref_hw;
-    // Rank the source pixels.
-    std::iota(order.begin(), order.end(), 0);
-    std::sort(order.begin(), order.end(),
-              [src](std::int64_t a, std::int64_t b) { return src[a] < src[b]; });
-    // Sorted reference values.
-    std::copy(ref, ref + ref_hw, ref_sorted.begin());
-    std::sort(ref_sorted.begin(), ref_sorted.end());
-    // The k-th smallest source pixel takes the value at the same quantile of
-    // the reference distribution.
-    float* dst = out.data() + ch * hw;
-    for (std::int64_t k = 0; k < hw; ++k) {
-      const std::int64_t ref_index =
-          std::min<std::int64_t>(ref_hw - 1, k * ref_hw / hw);
-      dst[order[static_cast<std::size_t>(k)]] =
-          ref_sorted[static_cast<std::size_t>(ref_index)];
     }
   }
   return out;

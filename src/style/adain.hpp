@@ -18,20 +18,6 @@ namespace pardon::style {
 Tensor AdaIn(const Tensor& features, const StyleVector& target,
              float epsilon = 1e-5f);
 
-// Partial-strength AdaIN: linearly interpolates between the original
-// features and the fully-transferred features,
-//   out = (1 - strength) * F + strength * AdaIN(F, target),
-// the "style interpolation coefficient" of CCST-family augmentation.
-// strength = 1 is plain AdaIN; 0 is identity.
-Tensor AdaInBlend(const Tensor& features, const StyleVector& target,
-                  float strength, float epsilon = 1e-5f);
-
-// Exact per-channel histogram matching: remaps each channel of `features` so
-// its empirical distribution equals that of the same channel in `reference`
-// (sort-based optimal transport in 1-D). Transfers ALL marginal moments, not
-// just mean/std — the stronger classical alternative to AdaIN.
-Tensor HistogramMatch(const Tensor& features, const Tensor& reference);
-
 // Full pipeline on an image: decode(AdaIN(encode(image), target)).
 Tensor StyleTransferImage(const Tensor& image, const StyleVector& target,
                           const FrozenEncoder& encoder);

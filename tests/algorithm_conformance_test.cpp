@@ -50,21 +50,25 @@ namespace {
 
 using tensor::Pcg32;
 
+// `make` comes first: gtest names each case after this struct's raw bytes,
+// and a leading std::string would start every test name with a heap address
+// that differs from run to run. A stateless lambda leaves the std::function's
+// leading storage zeroed.
 struct ConformanceMethod {
-  std::string name;
   std::function<std::unique_ptr<Algorithm>()> make;
+  std::string name;
 };
 
 std::vector<ConformanceMethod> ConformanceMethods() {
   return {
-      {"FedAvg", [] { return std::make_unique<baselines::FedAvg>(); }},
-      {"FedProx", [] { return std::make_unique<baselines::FedProx>(); }},
-      {"FedSR", [] { return std::make_unique<baselines::FedSr>(); }},
-      {"FedGMA", [] { return std::make_unique<baselines::FedGma>(); }},
-      {"FPL", [] { return std::make_unique<baselines::Fpl>(); }},
-      {"FedDG-GA", [] { return std::make_unique<baselines::FedDgGa>(); }},
-      {"CCST", [] { return std::make_unique<baselines::Ccst>(); }},
-      {"FISC", [] { return std::make_unique<core::Fisc>(); }},
+      {[] { return std::make_unique<baselines::FedAvg>(); }, "FedAvg"},
+      {[] { return std::make_unique<baselines::FedProx>(); }, "FedProx"},
+      {[] { return std::make_unique<baselines::FedSr>(); }, "FedSR"},
+      {[] { return std::make_unique<baselines::FedGma>(); }, "FedGMA"},
+      {[] { return std::make_unique<baselines::Fpl>(); }, "FPL"},
+      {[] { return std::make_unique<baselines::FedDgGa>(); }, "FedDG-GA"},
+      {[] { return std::make_unique<baselines::Ccst>(); }, "CCST"},
+      {[] { return std::make_unique<core::Fisc>(); }, "FISC"},
   };
 }
 

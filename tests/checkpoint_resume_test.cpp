@@ -26,6 +26,7 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -41,6 +42,7 @@
 #include "data/partition.hpp"
 #include "fl/sim_checkpoint.hpp"
 #include "fl/simulator.hpp"
+#include "tensor/gemm.hpp"
 #include "util/thread_pool.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -55,21 +57,25 @@ namespace {
 
 using tensor::Pcg32;
 
+// `make` comes first: gtest names each case after this struct's raw bytes,
+// and a leading std::string would start every test name with a heap address
+// that differs from run to run. A stateless lambda leaves the std::function's
+// leading storage zeroed.
 struct CheckpointMethod {
-  std::string name;
   std::function<std::unique_ptr<Algorithm>()> make;
+  std::string name;
 };
 
 std::vector<CheckpointMethod> CheckpointMethods() {
   return {
-      {"FedAvg", [] { return std::make_unique<baselines::FedAvg>(); }},
-      {"FedProx", [] { return std::make_unique<baselines::FedProx>(); }},
-      {"FedSR", [] { return std::make_unique<baselines::FedSr>(); }},
-      {"FedGMA", [] { return std::make_unique<baselines::FedGma>(); }},
-      {"FPL", [] { return std::make_unique<baselines::Fpl>(); }},
-      {"FedDG-GA", [] { return std::make_unique<baselines::FedDgGa>(); }},
-      {"CCST", [] { return std::make_unique<baselines::Ccst>(); }},
-      {"FISC", [] { return std::make_unique<core::Fisc>(); }},
+      {[] { return std::make_unique<baselines::FedAvg>(); }, "FedAvg"},
+      {[] { return std::make_unique<baselines::FedProx>(); }, "FedProx"},
+      {[] { return std::make_unique<baselines::FedSr>(); }, "FedSR"},
+      {[] { return std::make_unique<baselines::FedGma>(); }, "FedGMA"},
+      {[] { return std::make_unique<baselines::Fpl>(); }, "FPL"},
+      {[] { return std::make_unique<baselines::FedDgGa>(); }, "FedDG-GA"},
+      {[] { return std::make_unique<baselines::Ccst>(); }, "CCST"},
+      {[] { return std::make_unique<core::Fisc>(); }, "FISC"},
   };
 }
 
@@ -773,6 +779,68 @@ TEST(CheckpointFormat, CorruptedAlgorithmStateBlobsAreRejected) {
   baselines::FedDgGa sink;
   sink.LoadRoundState(blob);
   EXPECT_EQ(sink.SaveRoundState(), blob);
+}
+
+// FNV-1a over the size and the bytes: a digest that pins the byte layout.
+std::uint64_t LayoutDigest(std::span<const std::uint8_t> bytes) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  const auto mix = [&hash](std::uint8_t b) {
+    hash = (hash ^ b) * 0x100000001b3ULL;
+  };
+  for (int i = 0; i < 8; ++i) {
+    mix(static_cast<std::uint8_t>(bytes.size() >> (8 * i)));
+  }
+  for (const std::uint8_t b : bytes) mix(b);
+  return hash;
+}
+
+// Restores the process-wide GEMM backend when the test ends.
+class GemmBackendGuard {
+ public:
+  GemmBackendGuard() : backend_(tensor::ActiveGemmBackend()) {}
+  ~GemmBackendGuard() { tensor::SetGemmBackend(backend_); }
+
+ private:
+  tensor::GemmBackend backend_;
+};
+
+// Golden bytes: the on-disk layout of a checkpoint and of the stateful
+// methods' round-state blobs is a compatibility contract (a checkpoint
+// written by one build must load in the next), so the digests are pinned,
+// not just round-tripped. The trained blobs are produced under the naive
+// GEMM backend, whose results do not depend on the CPU's vector units.
+TEST(CheckpointFormat, GoldenBytesArePinned) {
+  SimCheckpoint ckpt = TinyCheckpoint();
+  ckpt.config.seed = 0x0123456789abcdefULL;
+  ckpt.config.optimizer.momentum = 0.875f;
+  ckpt.config.faults.salt = 0xfeedfacecafebeefULL;
+  ckpt.config.aggregation = AggregationMode::kMaterialized;
+  ckpt.costs.one_time_seconds = 0.5;
+  ckpt.costs.retransmissions = -7;
+  ckpt.costs.skipped_rounds = 1LL << 40;
+  ckpt.recorder.Record("val/acc", 1, -0.0);
+  const std::vector<std::uint8_t> bytes = SerializeSimCheckpoint(ckpt);
+  EXPECT_EQ(bytes.size(), 425u);
+  EXPECT_EQ(LayoutDigest(bytes), 0x3b1e5fcdf819ddf5ULL)
+      << std::hex << LayoutDigest(bytes);
+
+  GemmBackendGuard guard;
+  tensor::SetGemmBackend(tensor::GemmBackend::kNaive);
+  const CheckpointWorld& world = CheckpointWorld::Get();
+
+  baselines::Fpl fpl;
+  (void)world.Run(fpl, world.fl_config);
+  const std::vector<std::uint8_t> fpl_state = fpl.SaveRoundState();
+  EXPECT_EQ(fpl_state.size(), 136u);
+  EXPECT_EQ(LayoutDigest(fpl_state), 0x07b023c1b5774efdULL)
+      << std::hex << LayoutDigest(fpl_state);
+
+  baselines::FedDgGa ga;
+  (void)world.Run(ga, world.fl_config);
+  const std::vector<std::uint8_t> ga_state = ga.SaveRoundState();
+  EXPECT_EQ(ga_state.size(), 76u);
+  EXPECT_EQ(LayoutDigest(ga_state), 0x0e5f868c9782519eULL)
+      << std::hex << LayoutDigest(ga_state);
 }
 
 // ---------------------------------------------------------------------------

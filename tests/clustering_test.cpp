@@ -1,4 +1,4 @@
-// FINCH / k-means / quality-metric tests, including property-style sweeps
+// FINCH / quality-metric tests, including property-style sweeps
 // over random inputs verifying the FINCH partition-chain invariants.
 #include <gtest/gtest.h>
 
@@ -6,7 +6,6 @@
 #include <set>
 
 #include "clustering/finch.hpp"
-#include "clustering/kmeans.hpp"
 #include "clustering/quality.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/rng.hpp"
@@ -193,27 +192,6 @@ TEST(FinchWithK, RejectsBadK) {
   const Tensor points = Tensor::Gaussian({6, 2}, 0, 1, rng);
   EXPECT_THROW(FinchWithK(points, 0), std::invalid_argument);
   EXPECT_THROW(FinchWithK(points, 7), std::invalid_argument);
-}
-
-TEST(KMeans, RecoversTwoBlobs) {
-  Pcg32 rng(3);
-  const Tensor points = TwoBlobs(15, rng);
-  const Partition partition = KMeans(points, {.k = 2, .seed = 7});
-  EXPECT_EQ(partition.num_clusters, 2);
-  EXPECT_NEAR(Purity(partition.labels,
-                     [] {
-                       std::vector<int> truth(30, 0);
-                       for (int i = 15; i < 30; ++i) truth[static_cast<std::size_t>(i)] = 1;
-                       return truth;
-                     }()),
-              1.0, 1e-9);
-}
-
-TEST(KMeans, ClampsKToSampleCount) {
-  Pcg32 rng(4);
-  const Tensor points = Tensor::Gaussian({3, 2}, 0, 1, rng);
-  const Partition partition = KMeans(points, {.k = 10});
-  EXPECT_LE(partition.num_clusters, 3);
 }
 
 TEST(Purity, PerfectAndWorstCase) {

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "fl/comm.hpp"
+#include "fl/compress.hpp"
 #include "fl/wire.hpp"
 #include "obs/metrics.hpp"
 #include "tensor/ops.hpp"
@@ -28,6 +29,8 @@ TEST(WireCodec, ClientUpdateRoundTrip) {
   EXPECT_EQ(tensor::MaxAbsDiff(decoded.prototypes, update.prototypes), 0.0f);
 }
 
+// Also the socket path's payload: a prototype-free update (with and without
+// params) through the compressed codec's raw layout.
 TEST(WireCodec, EmptyPrototypesRoundTrip) {
   ClientUpdate update;
   update.params = {0.0f};
@@ -35,6 +38,30 @@ TEST(WireCodec, EmptyPrototypesRoundTrip) {
   const ClientUpdate decoded = DecodeClientUpdate(EncodeClientUpdate(update));
   EXPECT_EQ(decoded.prototypes.size(), 0);
   EXPECT_TRUE(decoded.prototype_class.empty());
+
+  for (const std::vector<float>& params :
+       {std::vector<float>{}, std::vector<float>{1.5f, -2.0f}}) {
+    update.params = params;
+    const ClientUpdate compressed = DecodeClientUpdateCompressed(
+        EncodeClientUpdateCompressed(update, {.codec = Codec::kNone}));
+    EXPECT_EQ(compressed.params, params);
+    EXPECT_EQ(compressed.prototypes.size(), 0);
+    EXPECT_TRUE(compressed.prototype_class.empty());
+  }
+}
+
+// Regression: a zero count used to hand memcpy a null pointer on both the
+// encode and the decode side (undefined even for zero bytes; UBSan's
+// nonnull-attribute check aborts on it).
+TEST(WireCodec, EmptyFloatSectionsRoundTrip) {
+  std::vector<std::uint8_t> bytes;
+  wire::PutFloats(bytes, nullptr, 0);
+  wire::PutFloatsU64(bytes, nullptr, 0);
+  ASSERT_EQ(bytes.size(), 4u + 8u);
+  std::size_t cursor = 0;
+  EXPECT_TRUE(wire::GetFloats(bytes, cursor).empty());
+  EXPECT_TRUE(wire::GetFloatsU64(bytes, cursor).empty());
+  EXPECT_EQ(cursor, bytes.size());
 }
 
 TEST(WireCodec, StyleRoundTrip) {

@@ -4,13 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
-#include <filesystem>
 #include <numeric>
 #include <set>
 
 #include "data/batcher.hpp"
-#include "data/dataset_io.hpp"
 #include "data/domain_generator.hpp"
 #include "data/normalize.hpp"
 #include "data/partition.hpp"
@@ -288,34 +285,6 @@ TEST(Normalize, RoundTripStatistics) {
   const ChannelStats post = ComputeChannelStats(normalized);
   EXPECT_NEAR(post.mean[0], 0.0f, 1e-3f);
   EXPECT_NEAR(post.std[0], 1.0f, 1e-3f);
-}
-
-TEST(DatasetIo, RoundTripPreservesEverything) {
-  const DomainGenerator generator(SmallConfig());
-  Pcg32 rng(20);
-  Dataset original(SmallConfig().shape, 4, 3);
-  original.Append(generator.GenerateDomain(0, 20, rng));
-  original.Append(generator.GenerateDomain(2, 15, rng));
-
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "pardon_dataset_io.bin")
-          .string();
-  SaveDataset(path, original);
-  const Dataset restored = LoadDataset(path);
-  EXPECT_EQ(restored.size(), original.size());
-  EXPECT_EQ(restored.num_classes(), 4);
-  EXPECT_EQ(restored.num_domains(), 3);
-  EXPECT_EQ(restored.shape(), original.shape());
-  EXPECT_EQ(tensor::MaxAbsDiff(restored.images(), original.images()), 0.0f);
-  for (std::int64_t i = 0; i < original.size(); ++i) {
-    EXPECT_EQ(restored.Label(i), original.Label(i));
-    EXPECT_EQ(restored.Domain(i), original.Domain(i));
-  }
-  std::remove(path.c_str());
-}
-
-TEST(DatasetIo, RejectsMissingAndCorrupt) {
-  EXPECT_THROW(LoadDataset("/nonexistent/file.bin"), std::runtime_error);
 }
 
 // ---- Batcher -------------------------------------------------------------------

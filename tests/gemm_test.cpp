@@ -35,7 +35,6 @@
 #include "data/presets.hpp"
 #include "data/splits.hpp"
 #include "fl/simulator.hpp"
-#include "nn/conv.hpp"
 #include "nn/mlp.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/ops.hpp"
@@ -552,85 +551,6 @@ TEST(GemmConfig, ApplyGemmConfigSelectsBackend) {
     config.Set("tensor.gemm", "simd");
     ApplyGemmConfig(config);
     EXPECT_EQ(ActiveGemmBackend(), GemmBackend::kSimd);
-  }
-}
-
-// ---- Convolution rides the backend ------------------------------------------
-
-TEST(GemmConv, Im2colForwardMatchesDirect) {
-  GemmStateGuard guard;
-  Pcg32 seed_rng(31);
-  nn::Conv2d conv(3, 4, 6, 5, seed_rng);
-  const Tensor x = FilledTensor({2, 3 * 6 * 5}, 32);
-  std::unique_ptr<nn::Layer::Context> ctx;
-
-  SetGemmBackend(GemmBackend::kNaive);
-  const Tensor direct = conv.Forward(x, ctx, /*training=*/true, nullptr);
-  SetGemmBackend(GemmBackend::kBlocked);
-  const Tensor im2col = conv.Forward(x, ctx, /*training=*/true, nullptr);
-
-  ASSERT_EQ(direct.shape(), im2col.shape());
-  for (std::int64_t i = 0; i < direct.size(); ++i) {
-    // Tolerance, not bitwise: the two paths accumulate taps in different
-    // orders (direct sums per output pixel, GEMM sums over packed rows).
-    EXPECT_NEAR(direct[i], im2col[i], 1e-4f) << "at " << i;
-  }
-}
-
-TEST(GemmConv, Im2colBackwardMatchesDirect) {
-  GemmStateGuard guard;
-  Pcg32 seed_a(41), seed_b(41);
-  nn::Conv2d conv_direct(2, 3, 4, 4, seed_a);
-  nn::Conv2d conv_gemm(2, 3, 4, 4, seed_b);
-  const Tensor x = FilledTensor({3, 2 * 4 * 4}, 42);
-  const Tensor grad_out = FilledTensor({3, 3 * 4 * 4}, 43);
-
-  std::unique_ptr<nn::Layer::Context> ctx_direct, ctx_gemm;
-  SetGemmBackend(GemmBackend::kNaive);
-  conv_direct.Forward(x, ctx_direct, true, nullptr);
-  const Tensor gi_direct = conv_direct.Backward(grad_out, *ctx_direct);
-  SetGemmBackend(GemmBackend::kBlocked);
-  conv_gemm.Forward(x, ctx_gemm, true, nullptr);
-  const Tensor gi_gemm = conv_gemm.Backward(grad_out, *ctx_gemm);
-
-  ASSERT_EQ(gi_direct.shape(), gi_gemm.shape());
-  for (std::int64_t i = 0; i < gi_direct.size(); ++i) {
-    EXPECT_NEAR(gi_direct[i], gi_gemm[i], 1e-4f) << "grad_input at " << i;
-  }
-  const auto grads_direct = conv_direct.Grads();
-  const auto grads_gemm = conv_gemm.Grads();
-  ASSERT_EQ(grads_direct.size(), grads_gemm.size());
-  for (std::size_t g = 0; g < grads_direct.size(); ++g) {
-    ASSERT_EQ(grads_direct[g]->shape(), grads_gemm[g]->shape());
-    for (std::int64_t i = 0; i < grads_direct[g]->size(); ++i) {
-      EXPECT_NEAR((*grads_direct[g])[i], (*grads_gemm[g])[i], 1e-4f)
-          << "grad param " << g << " at " << i;
-    }
-  }
-}
-
-TEST(GemmConv, NaNGradientReachesWeightGradient) {
-  // The direct Backward used to skip zero upstream-gradient entries; with a
-  // NaN activation under a zero gradient that masked real divergence. Pin
-  // that NaN inputs now reach the weight gradient on both paths.
-  GemmStateGuard guard;
-  for (const GemmBackend backend : {GemmBackend::kNaive, GemmBackend::kBlocked}) {
-    SetGemmBackend(backend);
-    Pcg32 seed_rng(51);
-    nn::Conv2d conv(1, 1, 2, 2, seed_rng);
-    Tensor x({1, 4});
-    x[0] = kNaN;
-    std::unique_ptr<nn::Layer::Context> ctx;
-    conv.Forward(x, ctx, true, nullptr);
-    Tensor grad_out({1, 4});  // all-zero upstream gradient
-    conv.Backward(grad_out, *ctx);
-    bool any_nan = false;
-    for (Tensor* grad : conv.Grads()) {
-      for (std::int64_t i = 0; i < grad->size(); ++i) {
-        any_nan |= std::isnan((*grad)[i]);
-      }
-    }
-    EXPECT_TRUE(any_nan) << "backend " << ToString(backend);
   }
 }
 

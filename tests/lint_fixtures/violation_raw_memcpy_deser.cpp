@@ -1,6 +1,6 @@
 // Fixture for tools/lint_determinism.py --self-test: rule raw-memcpy-deser.
 // Classic unchecked decode: trusts a length field from the wire and memcpys
-// through it. Real decode paths must use fl::wire::Get* / fl::ByteReader.
+// through it. Real decode paths must use fl::wire::Get*.
 #include <cstdint>
 #include <cstring>
 #include <vector>

@@ -1,5 +1,5 @@
-// Metrics tests: accuracy/per-domain/confusion/loss evaluation and the
-// convergence recorder.
+// Metrics tests: accuracy/per-domain/confusion/macro-F1/loss evaluation and
+// the convergence recorder.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -106,6 +106,39 @@ TEST(MeanLoss, LowerAfterTraining) {
   });
   const nn::MlpClassifier trained = TrainedModel(data, rng);
   EXPECT_LT(MeanLoss(trained, data), MeanLoss(untrained, data));
+}
+
+TEST(MacroF1, PerfectAndDegenerate) {
+  data::Dataset dataset({.channels = 1, .height = 1, .width = 3}, 3, 1);
+  Pcg32 rng(10);
+  for (int i = 0; i < 90; ++i) {
+    const int label = i % 3;
+    Tensor image({3});
+    image[label] = 5.0f;
+    dataset.Add(image, label, 0);
+  }
+  // A classifier that reads the argmax directly: identity-ish linear model.
+  nn::MlpClassifier model(nn::MlpClassifier::Config{
+      .input_dim = 3,
+      .hidden = {8},
+      .embed_dim = 4,
+      .num_classes = 3,
+      .seed = 11,
+  });
+  nn::Adam optimizer(model.Params(), model.Grads(), {.lr = 1e-2f});
+  std::vector<int> labels(dataset.labels().begin(), dataset.labels().end());
+  for (int step = 0; step < 50; ++step) {
+    model.ZeroGrad();
+    nn::Sequential::Trace ft, ht;
+    const Tensor z = model.Embed(dataset.images(), &ft, true, &rng);
+    const nn::CrossEntropyResult ce =
+        nn::SoftmaxCrossEntropy(model.Logits(z, &ht, true, &rng), labels);
+    model.BackwardFeatures(model.BackwardHead(ce.grad_logits, ht), ft);
+    optimizer.Step();
+  }
+  EXPECT_GT(MacroF1(model, dataset), 0.95);
+  // Macro-F1 tracks accuracy on balanced data.
+  EXPECT_NEAR(MacroF1(model, dataset), Accuracy(model, dataset), 0.05);
 }
 
 TEST(Recorder, SeriesRoundsValuesAndCsv) {

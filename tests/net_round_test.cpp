@@ -201,6 +201,42 @@ TEST(NetRound, ServerRejectsDuplicateClientId) {
   clients.join();
 }
 
+// A peer that frames a well-formed Update around a payload the update codec
+// cannot decode is a misbehaving client: the server must reject it with the
+// typed protocol error naming the client and round, not leak the codec's
+// decode error.
+TEST(NetRound, ServerRejectsJunkUpdatePayloadAsProtocolError) {
+  Listener listener =
+      Listener::Bind(Endpoint::Tcp("127.0.0.1", 0), /*io_timeout=*/5.0);
+  const Endpoint bound = listener.bound();
+  std::thread peer([&bound] {
+    try {
+      Connection conn = Connect(bound);
+      conn.SendFrame(EncodeHello(HelloMessage{.client_id = 0}));
+      const BroadcastMessage broadcast = DecodeBroadcast(conn.RecvFrame());
+      conn.SendFrame(EncodeUpdate(UpdateMessage{
+          .client_id = 0,
+          .round = broadcast.round,
+          .payload = {0xde, 0xad, 0xbe, 0xef, 0x00, 0x01}}));
+      (void)conn.RecvFrame();  // drains until the server hangs up
+    } catch (const NetError&) {
+    }
+  });
+  ServerOptions options;
+  options.total_clients = 1;
+  options.participants_per_round = 1;
+  FlServer server(std::move(listener), options);
+  try {
+    (void)server.Run(std::vector<float>(8, 0.0f));
+    ADD_FAILURE() << "junk Update payload accepted";
+  } catch (const ProtocolError& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("client 0"), std::string::npos) << what;
+    EXPECT_NE(what.find("round 1"), std::string::npos) << what;
+  }
+  peer.join();
+}
+
 // -- protocol codecs --------------------------------------------------------
 
 TEST(NetProtocol, MessagesRoundTrip) {

@@ -128,6 +128,41 @@ TEST(LeakyRelu, GradientMatchesNumeric) {
   EXPECT_LT(CheckInputGradient(layer, x, rng), 1e-2f);
 }
 
+TEST(Activations, SigmoidValuesAndGradient) {
+  Sigmoid layer;
+  Pcg32 rng(1);
+  std::unique_ptr<Layer::Context> ctx;
+  const Tensor y = layer.Forward(Tensor({1, 3}, {0, 100, -100}), ctx, true, &rng);
+  EXPECT_NEAR(y[0], 0.5f, 1e-6f);
+  EXPECT_NEAR(y[1], 1.0f, 1e-6f);
+  EXPECT_NEAR(y[2], 0.0f, 1e-6f);
+  const Tensor x = Tensor::Gaussian({3, 4}, 0, 1, rng);
+  EXPECT_LT(CheckInputGradient(layer, x, rng), 1e-2f);
+}
+
+TEST(Activations, GeluValuesAndGradient) {
+  Gelu layer;
+  Pcg32 rng(2);
+  std::unique_ptr<Layer::Context> ctx;
+  const Tensor y = layer.Forward(Tensor({1, 3}, {0, 10, -10}), ctx, true, &rng);
+  EXPECT_NEAR(y[0], 0.0f, 1e-6f);
+  EXPECT_NEAR(y[1], 10.0f, 1e-3f);
+  EXPECT_NEAR(y[2], 0.0f, 1e-3f);
+  const Tensor x = Tensor::Gaussian({3, 4}, 0, 1, rng);
+  EXPECT_LT(CheckInputGradient(layer, x, rng), 1e-2f);
+}
+
+TEST(Activations, SoftplusValuesAndGradient) {
+  Softplus layer;
+  Pcg32 rng(3);
+  std::unique_ptr<Layer::Context> ctx;
+  const Tensor y = layer.Forward(Tensor({1, 2}, {0, 50}), ctx, true, &rng);
+  EXPECT_NEAR(y[0], std::log(2.0f), 1e-5f);
+  EXPECT_NEAR(y[1], 50.0f, 1e-4f);
+  const Tensor x = Tensor::Gaussian({3, 4}, 0, 2, rng);
+  EXPECT_LT(CheckInputGradient(layer, x, rng), 1e-2f);
+}
+
 TEST(Dropout, EvalIsIdentityTrainScalesSurvivors) {
   Dropout dropout(0.5f);
   Pcg32 rng(7);

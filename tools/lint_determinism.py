@@ -9,8 +9,7 @@ cannot enforce:
      backends (docs/TESTING.md, docs/CHECKPOINTING.md).
   2. Bounds-checked decoding: every byte that crosses a trust boundary
      (socket frames, update payloads, checkpoint files) is parsed through a
-     reader that length-checks before every access (fl/wire.hpp,
-     fl::ByteReader).
+     reader that length-checks before every access (fl/wire.hpp).
 
 This lint fails the build on source patterns that silently break either
 contract. Rules (ids are what the allowlist references):
@@ -38,8 +37,8 @@ contract. Rules (ids are what the allowlist references):
                      cannot round GEMM backends apart.
   raw-memcpy-deser   memcpy in wire/checkpoint decode directories outside the
                      bounds-checked readers. New decode sites must go through
-                     fl::wire::Get* / fl::ByteReader (or be allowlisted with
-                     the bounds check named in the reason).
+                     fl::wire::Get* (or be allowlisted with the bounds check
+                     named in the reason).
 
 Allowlist: tools/lint_determinism_allowlist.txt. Each line is
 
