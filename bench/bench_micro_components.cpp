@@ -14,6 +14,7 @@
 #include "data/partition.hpp"
 #include "fl/aggregate.hpp"
 #include "fl/client_data.hpp"
+#include "fl/comm.hpp"
 #include "fl/simulator.hpp"
 #include "obs/session.hpp"
 #include "style/adain.hpp"
@@ -281,6 +282,20 @@ void BM_FedAvgAggregate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FedAvgAggregate)->Arg(5)->Arg(20)->Arg(100);
+
+// CRC-32 over one frame payload: the fold threshold, a page, and the size of
+// a net_loopback model update (169,452 bytes).
+void BM_Crc32(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  Pcg32 rng(6);
+  std::vector<std::uint8_t> bytes(n);
+  for (std::uint8_t& b : bytes) b = static_cast<std::uint8_t>(rng.NextU32());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(pardon::fl::Crc32(bytes));
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Crc32)->Arg(64)->Arg(4096)->Arg(169452);
 
 // ------------------------------------------------------- observability cost
 //

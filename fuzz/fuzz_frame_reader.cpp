@@ -7,6 +7,9 @@
 //     splits, so any divergence is a real protocol bug.
 //   - Typed failure only: adversarial input may throw FramingError and
 //     nothing else.
+//   - Checksum differential: Crc32 (carryless-multiply fold on inputs of 64
+//     bytes or more) equals the table loop on every suffix starting at
+//     offsets 0..15, so both paths are compared at every alignment.
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
@@ -57,6 +60,13 @@ StreamResult RunChunked(std::span<const std::uint8_t> input,
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
   const std::span<const std::uint8_t> input(data, size);
+  for (std::size_t k = 0; k <= std::min<std::size_t>(15, size); ++k) {
+    const auto suffix = input.subspan(k);
+    if (pardon::fl::Crc32(suffix) !=
+        pardon::fl::internal::Crc32Portable(suffix)) {
+      std::abort();
+    }
+  }
   const StreamResult whole = RunChunked(input, size > 0 ? size : 1);
   const StreamResult bytewise = RunChunked(input, 1);
   const StreamResult chunked = RunChunked(input, 7);

@@ -7,6 +7,10 @@
 #include "fl/wire.hpp"
 #include "obs/metrics.hpp"
 
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
 namespace pardon::fl {
 
 namespace {
@@ -83,23 +87,123 @@ style::StyleVector DecodeStyle(const std::vector<std::uint8_t>& bytes) {
       tensor::Tensor({static_cast<std::int64_t>(values.size())}, values));
 }
 
-std::uint32_t Crc32(std::span<const std::uint8_t> bytes) {
+namespace {
+
+// Running CRC state (pre-/post-inversion is the caller's job) advanced over
+// `bytes` one table lookup per byte.
+std::uint32_t Crc32TableUpdate(std::uint32_t crc,
+                               std::span<const std::uint8_t> bytes) {
   static const auto table = [] {
     std::array<std::uint32_t, 256> t{};
     for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t crc = i;
+      std::uint32_t c = i;
       for (int bit = 0; bit < 8; ++bit) {
-        crc = (crc >> 1) ^ ((crc & 1u) ? 0xedb88320u : 0u);
+        c = (c >> 1) ^ ((c & 1u) ? 0xedb88320u : 0u);
       }
-      t[i] = crc;
+      t[i] = c;
     }
     return t;
   }();
-  std::uint32_t crc = 0xffffffffu;
   for (const std::uint8_t byte : bytes) {
     crc = (crc >> 8) ^ table[(crc ^ byte) & 0xffu];
   }
-  return crc ^ 0xffffffffu;
+  return crc;
+}
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define PARDON_CRC32_CLMUL 1
+
+// Below this the fold's setup and final reduction cost more than the table.
+constexpr std::size_t kClmulMinBytes = 64;
+
+#define PARDON_CRC32_TARGET __attribute__((target("pclmul,sse4.1")))
+
+inline __m128i LoadBlock(const std::uint8_t* at) {
+  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(at));
+}
+
+// Moves `acc` forward by the distance the constant pair `k` encodes (high
+// and low halves multiplied separately) and xors it into `next`.
+PARDON_CRC32_TARGET inline __m128i Fold(__m128i acc, __m128i k,
+                                        __m128i next) {
+  const __m128i lo = _mm_clmulepi64_si128(acc, k, 0x00);
+  const __m128i hi = _mm_clmulepi64_si128(acc, k, 0x11);
+  return _mm_xor_si128(_mm_xor_si128(hi, lo), next);
+}
+
+// Carryless-multiply folding (Gopal et al., "Fast CRC Computation for Generic
+// Polynomials Using PCLMULQDQ", Intel 2009), bit-reflected for 0xEDB88320.
+// Advances the running CRC state over `bytes`, whose size must be a multiple
+// of 16 and at least 64. Four 128-bit accumulators fold 64 bytes per step,
+// are folded into one, which then takes the remaining 16-byte blocks; the
+// 128-bit remainder is reduced to 64 bits and Barrett-reduced to the CRC.
+// Constants are x^k mod P(x), bit-reflected, from the paper's appendix.
+PARDON_CRC32_TARGET std::uint32_t Crc32ClmulUpdate(
+    std::uint32_t crc, std::span<const std::uint8_t> bytes) {
+  const std::uint8_t* p = bytes.data();
+  std::size_t len = bytes.size();
+  const __m128i k1k2 = _mm_set_epi64x(0x01c6e41596, 0x0154442bd4);
+  const __m128i k3k4 = _mm_set_epi64x(0x00ccaa009e, 0x01751997d0);
+  const __m128i k5 = _mm_set_epi64x(0, 0x0163cd6124);
+  const __m128i poly = _mm_set_epi64x(0x01f7011641, 0x01db710641);
+  const __m128i low32 = _mm_setr_epi32(-1, 0, -1, 0);
+
+  __m128i x0 = _mm_xor_si128(LoadBlock(p),
+                             _mm_cvtsi32_si128(static_cast<int>(crc)));
+  __m128i x1 = LoadBlock(p + 16);
+  __m128i x2 = LoadBlock(p + 32);
+  __m128i x3 = LoadBlock(p + 48);
+  p += 64;
+  len -= 64;
+  for (; len >= 64; p += 64, len -= 64) {
+    x0 = Fold(x0, k1k2, LoadBlock(p));
+    x1 = Fold(x1, k1k2, LoadBlock(p + 16));
+    x2 = Fold(x2, k1k2, LoadBlock(p + 32));
+    x3 = Fold(x3, k1k2, LoadBlock(p + 48));
+  }
+  x0 = Fold(x0, k3k4, x1);
+  x0 = Fold(x0, k3k4, x2);
+  x0 = Fold(x0, k3k4, x3);
+  for (; len >= 16; p += 16, len -= 16) x0 = Fold(x0, k3k4, LoadBlock(p));
+
+  // 128 -> 64 bits, then 64 -> 32 via Barrett reduction.
+  x0 = _mm_xor_si128(_mm_srli_si128(x0, 8),
+                     _mm_clmulepi64_si128(x0, k3k4, 0x10));
+  x0 = _mm_xor_si128(
+      _mm_srli_si128(x0, 4),
+      _mm_clmulepi64_si128(_mm_and_si128(x0, low32), k5, 0x00));
+  __m128i t = _mm_clmulepi64_si128(_mm_and_si128(x0, low32), poly, 0x10);
+  t = _mm_clmulepi64_si128(_mm_and_si128(t, low32), poly, 0x00);
+  return static_cast<std::uint32_t>(
+      _mm_extract_epi32(_mm_xor_si128(x0, t), 1));
+}
+#undef PARDON_CRC32_TARGET
+#else
+#define PARDON_CRC32_CLMUL 0
+#endif
+
+}  // namespace
+
+namespace internal {
+
+std::uint32_t Crc32Portable(std::span<const std::uint8_t> bytes) {
+  return Crc32TableUpdate(0xffffffffu, bytes) ^ 0xffffffffu;
+}
+
+}  // namespace internal
+
+std::uint32_t Crc32(std::span<const std::uint8_t> bytes) {
+  std::uint32_t crc = 0xffffffffu;
+#if PARDON_CRC32_CLMUL
+  static const bool clmul =
+      __builtin_cpu_supports("pclmul") && __builtin_cpu_supports("sse4.1");
+  if (clmul && bytes.size() >= kClmulMinBytes) {
+    const std::size_t folded = bytes.size() & ~std::size_t{15};
+    crc = Crc32ClmulUpdate(crc, bytes.first(folded));
+    bytes = bytes.subspan(folded);
+  }
+#endif
+  return Crc32TableUpdate(crc, bytes) ^ 0xffffffffu;
 }
 
 std::vector<std::uint8_t> FrameMessage(std::span<const std::uint8_t> payload) {

@@ -35,8 +35,16 @@ style::StyleVector DecodeStyle(const std::vector<std::uint8_t>& bytes);
 
 // -- integrity framing ------------------------------------------------------
 // CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over `bytes` — the
-// corruption detector the fault-injection layer relies on.
+// corruption detector the fault-injection layer relies on. On x86-64 CPUs
+// with PCLMULQDQ, inputs of 64 bytes or more are folded 16 bytes at a time
+// with carryless multiplies; the result is identical to the table loop.
 std::uint32_t Crc32(std::span<const std::uint8_t> bytes);
+
+namespace internal {
+// The byte-at-a-time table loop Crc32 falls back to; exposed so tests and
+// the frame fuzzer can check the folded path against it.
+std::uint32_t Crc32Portable(std::span<const std::uint8_t> bytes);
+}  // namespace internal
 
 // Frame = u32 payload length + u32 CRC-32(payload) + payload, little-endian.
 std::vector<std::uint8_t> FrameMessage(std::span<const std::uint8_t> payload);

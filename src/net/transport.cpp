@@ -306,9 +306,9 @@ Connection Listener::Accept() {
 Connection Connect(const Endpoint& endpoint, const RetryPolicy& retry) {
   double backoff = retry.initial_backoff_seconds;
   std::string last_error;
-  for (int attempt = 0; attempt < std::max(retry.max_connect_attempts, 1);
-       ++attempt) {
-    if (attempt > 0) {
+  int attempts = 0;
+  while (attempts < std::max(retry.max_connect_attempts, 1)) {
+    if (attempts++ > 0) {
       std::this_thread::sleep_for(std::chrono::duration<double>(backoff));
       backoff = std::min(backoff * retry.backoff_multiplier,
                          retry.max_backoff_seconds);
@@ -329,15 +329,21 @@ Connection Connect(const Endpoint& endpoint, const RetryPolicy& retry) {
       }
       return Connection(fd, retry.io_timeout_seconds);
     }
+    // Saved before close(), which may itself set errno.
+    const int connect_errno = errno;
     last_error = ErrnoText("connect");
     ::close(fd);
     // ECONNREFUSED / ENOENT: the server is not listening yet — the exact
     // race the backoff exists for. Anything else is unlikely to heal.
-    if (errno != ECONNREFUSED && errno != ENOENT && errno != EAGAIN) break;
+    if (connect_errno != ECONNREFUSED && connect_errno != ENOENT &&
+        connect_errno != EAGAIN) {
+      break;
+    }
   }
   throw NetError("net: connect to " + endpoint.ToString() + " failed after " +
-                 std::to_string(retry.max_connect_attempts) + " attempts (" +
-                 last_error + ")");
+                 std::to_string(attempts) +
+                 (attempts == 1 ? " attempt (" : " attempts (") + last_error +
+                 ")");
 }
 
 void WriteEndpointFile(const std::string& path, const Endpoint& endpoint) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <span>
 
 #include "baselines/fedavg.hpp"
 #include "data/domain_generator.hpp"
@@ -188,6 +189,65 @@ TEST(CommFraming, Crc32MatchesKnownVector) {
   const std::vector<std::uint8_t> bytes(check.begin(), check.end());
   EXPECT_EQ(Crc32(bytes), 0xcbf43926u);
   EXPECT_EQ(Crc32(std::vector<std::uint8_t>{}), 0u);
+}
+
+// Bit-at-a-time CRC-32 state update: the definition, independent of both
+// the table and the carryless-multiply fold.
+std::uint32_t BitwiseCrcUpdate(std::uint32_t crc, std::uint8_t byte) {
+  crc ^= byte;
+  for (int bit = 0; bit < 8; ++bit) {
+    crc = (crc >> 1) ^ ((crc & 1u) ? 0xedb88320u : 0u);
+  }
+  return crc;
+}
+
+std::uint32_t BitwiseCrc32(std::span<const std::uint8_t> bytes) {
+  std::uint32_t crc = 0xffffffffu;
+  for (const std::uint8_t byte : bytes) crc = BitwiseCrcUpdate(crc, byte);
+  return crc ^ 0xffffffffu;
+}
+
+std::vector<std::uint8_t> RandomBytes(std::size_t n, std::uint64_t seed) {
+  Pcg32 rng(seed);
+  std::vector<std::uint8_t> bytes(n);
+  for (std::uint8_t& b : bytes) b = static_cast<std::uint8_t>(rng.NextU32());
+  return bytes;
+}
+
+// Crc32 folds inputs of 64 bytes or more with carryless multiplies where the
+// CPU allows; both it and the table loop must equal the bitwise definition
+// at every length around the 16-byte block and 64-byte fold boundaries, at
+// every alignment.
+TEST(CommFraming, Crc32MatchesBitwiseReference) {
+  constexpr std::size_t kMaxLen = 4096;
+  constexpr std::size_t kOffsets = 16;
+  const std::vector<std::uint8_t> buffer = RandomBytes(kMaxLen + kOffsets, 11);
+  const std::span<const std::uint8_t> all(buffer);
+  for (std::size_t offset = 0; offset < kOffsets; ++offset) {
+    std::uint32_t state = 0xffffffffu;
+    for (std::size_t len = 0; len <= kMaxLen; ++len) {
+      if (len > 0) state = BitwiseCrcUpdate(state, buffer[offset + len - 1]);
+      const std::uint32_t expected = state ^ 0xffffffffu;
+      const auto input = all.subspan(offset, len);
+      ASSERT_EQ(Crc32(input), expected)
+          << "offset " << offset << " length " << len;
+      ASSERT_EQ(internal::Crc32Portable(input), expected)
+          << "offset " << offset << " length " << len;
+    }
+  }
+
+  const std::vector<std::uint8_t> large = RandomBytes(65553, 12);
+  for (std::size_t len = 65519; len <= 65553; ++len) {
+    const auto input = std::span<const std::uint8_t>(large).first(len);
+    const std::uint32_t expected = BitwiseCrc32(input);
+    EXPECT_EQ(Crc32(input), expected) << "length " << len;
+    EXPECT_EQ(internal::Crc32Portable(input), expected) << "length " << len;
+  }
+
+  const std::vector<std::uint8_t> mib = RandomBytes(std::size_t{1} << 20, 13);
+  const std::uint32_t expected = BitwiseCrc32(mib);
+  EXPECT_EQ(Crc32(mib), expected);
+  EXPECT_EQ(internal::Crc32Portable(mib), expected);
 }
 
 TEST(CommFraming, RoundTripsPayload) {

@@ -12,6 +12,7 @@
 #include <chrono>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <thread>
 #include <vector>
 
@@ -230,6 +231,28 @@ TEST_P(TransportBackends, ConnectRetriesUntilServerBinds) {
   Connection client = Connect(endpoint, retry);
   EXPECT_EQ(client.RecvFrame(), (std::vector<std::uint8_t>{1, 2, 3}));
   late_server.join();
+}
+
+TEST(Connect, NonRetryableErrorStopsAfterOneAttempt) {
+  // A path component that is a regular file makes connect() fail with
+  // ENOTDIR, which no amount of waiting heals: Connect must give up at once
+  // and say how many attempts it actually made.
+  const std::filesystem::path file = UniqueSocketPath("regular_file");
+  { std::ofstream(file) << "not a directory\n"; }
+  RetryPolicy retry;
+  retry.max_connect_attempts = 30;
+  retry.initial_backoff_seconds = 1.0;
+  const auto start = std::chrono::steady_clock::now();
+  try {
+    (void)Connect(Endpoint::UnixSocket((file / "sock").string()), retry);
+    ADD_FAILURE() << "Connect through a regular file succeeded";
+  } catch (const NetError& error) {
+    const std::string text = error.what();
+    EXPECT_NE(text.find("after 1 attempt"), std::string::npos) << text;
+    EXPECT_NE(text.find("Not a directory"), std::string::npos) << text;
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1));
+  std::filesystem::remove(file);
 }
 
 TEST_P(TransportBackends, RecvTimesOut) {
