@@ -8,14 +8,18 @@
 #include <memory>
 
 #include "baselines/fedavg.hpp"
+#include "baselines/fedgma.hpp"
 #include "clustering/finch.hpp"
 #include "data/dataset.hpp"
 #include "data/domain_generator.hpp"
 #include "data/partition.hpp"
+#include "data/presets.hpp"
 #include "fl/aggregate.hpp"
 #include "fl/client_data.hpp"
 #include "fl/comm.hpp"
 #include "fl/simulator.hpp"
+#include "nn/mlp.hpp"
+#include "nn/optimizer.hpp"
 #include "obs/session.hpp"
 #include "style/adain.hpp"
 #include "style/encoder.hpp"
@@ -282,6 +286,57 @@ void BM_FedAvgAggregate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FedAvgAggregate)->Arg(5)->Arg(20)->Arg(100);
+
+// The model configs/pacs_ltdo.ini trains (bench/experiment.cpp): 42k
+// parameters plus BatchNorm running statistics.
+pardon::nn::MlpClassifier PacsModel() {
+  const pardon::data::ScenarioPreset preset = pardon::data::MakePacsLike();
+  return pardon::nn::MlpClassifier({
+      .input_dim = preset.generator.shape.FlatDim(),
+      .hidden = {96},
+      .embed_dim = 48,
+      .num_classes = preset.generator.num_classes,
+      .seed = 30,
+  });
+}
+
+// One Adam step over every parameter of the pacs_ltdo model.
+void BM_AdamStep(benchmark::State& state) {
+  pardon::nn::MlpClassifier model = PacsModel();
+  Pcg32 rng(7);
+  for (Tensor* g : model.Grads()) {
+    for (std::int64_t i = 0; i < g->size(); ++i) (*g)[i] = rng.NextGaussian();
+  }
+  pardon::nn::Adam adam(model.Params(), model.Grads(), {.lr = 3e-3f});
+  for (auto _ : state) {
+    adam.Step();
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * model.NumParams());
+}
+BENCHMARK(BM_AdamStep);
+
+// FedGMA's masked aggregation of `clients` updates of the pacs_ltdo model
+// (20 is the config's participants per round).
+void BM_FedGmaAggregate(benchmark::State& state) {
+  const std::vector<float> global = PacsModel().FlatParams();
+  Pcg32 rng(8);
+  std::vector<pardon::fl::ClientUpdate> updates(
+      static_cast<std::size_t>(state.range(0)));
+  for (std::size_t k = 0; k < updates.size(); ++k) {
+    updates[k].num_samples = static_cast<std::int64_t>(20 + k);
+    updates[k].params = global;
+    for (float& p : updates[k].params) p += 1e-2f * rng.NextGaussian();
+  }
+  const std::vector<int> ids(updates.size(), 0);
+  pardon::baselines::FedGma gma;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(gma.Aggregate(global, updates, ids, 1));
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0) *
+                          static_cast<std::int64_t>(global.size()));
+}
+BENCHMARK(BM_FedGmaAggregate)->Arg(20);
 
 // CRC-32 over one frame payload: the fold threshold, a page, and the size of
 // a net_loopback model update (169,452 bytes).

@@ -1,6 +1,9 @@
 #include "baselines/fedgma.hpp"
 
-#include "fl/aggregate.hpp"
+#include <algorithm>
+#include <cstdint>
+#include <stdexcept>
+
 #include "fl/local_training.hpp"
 
 namespace pardon::baselines {
@@ -21,33 +24,49 @@ std::vector<float> FedGma::Aggregate(std::span<const float> global_params,
                                      std::span<const fl::ClientUpdate> updates,
                                      std::span<const int> /*client_ids*/,
                                      int /*round*/) {
+  if (updates.empty()) {
+    throw std::invalid_argument("FedGma::Aggregate: no updates");
+  }
   const std::size_t dim = global_params.size();
-  // Client deltas relative to the round's starting parameters.
-  std::vector<std::vector<float>> deltas;
-  deltas.reserve(updates.size());
-  std::vector<double> weights;
   double total_weight = 0.0;
   for (const fl::ClientUpdate& u : updates) {
-    std::vector<float> delta(dim);
-    for (std::size_t j = 0; j < dim; ++j) {
-      delta[j] = u.params[j] - global_params[j];
+    if (u.params.size() != dim) {
+      throw std::invalid_argument("FedGma::Aggregate: update dim mismatch");
     }
-    deltas.push_back(std::move(delta));
-    weights.push_back(static_cast<double>(u.num_samples));
     total_weight += static_cast<double>(u.num_samples);
   }
   if (total_weight <= 0.0) total_weight = 1.0;
 
-  const std::vector<float> agreement = fl::SignAgreement(deltas);
+  // One pass per update over contiguous memory. Each coordinate's delta
+  // (local - global) bumps its sign count and is added into a double
+  // accumulator in update order, the same additions a coordinate-outer walk
+  // would make, so the result is bitwise unchanged.
+  std::vector<std::int32_t> counts(2 * dim, 0);
+  std::vector<double> sum(dim, 0.0);
+  std::int32_t* __restrict positive = counts.data();
+  std::int32_t* __restrict negative = counts.data() + dim;
+  double* __restrict avg_delta = sum.data();
+  const float* __restrict global = global_params.data();
+  for (const fl::ClientUpdate& u : updates) {
+    const float* __restrict local = u.params.data();
+    const double weight = static_cast<double>(u.num_samples) / total_weight;
+    for (std::size_t j = 0; j < dim; ++j) {
+      const float delta = local[j] - global[j];
+      positive[j] += delta > 0.0f;
+      negative[j] += delta < 0.0f;
+      avg_delta[j] += weight * delta;
+    }
+  }
 
+  // Agreement = max(share of positive deltas, share of negative deltas);
+  // coordinates below tau are soft-masked by it.
+  const float num_updates = static_cast<float>(updates.size());
   std::vector<float> out(global_params.begin(), global_params.end());
   for (std::size_t j = 0; j < dim; ++j) {
-    double avg_delta = 0.0;
-    for (std::size_t k = 0; k < deltas.size(); ++k) {
-      avg_delta += weights[k] / total_weight * deltas[k][j];
-    }
-    const float mask = agreement[j] >= options_.tau ? 1.0f : agreement[j];
-    out[j] += options_.server_lr * mask * static_cast<float>(avg_delta);
+    const float agreement =
+        static_cast<float>(std::max(positive[j], negative[j])) / num_updates;
+    const float mask = agreement >= options_.tau ? 1.0f : agreement;
+    out[j] += options_.server_lr * mask * static_cast<float>(avg_delta[j]);
   }
   return out;
 }

@@ -31,8 +31,8 @@ class FedGma : public fl::Algorithm {
                                std::span<const int> client_ids,
                                int round) override;
 
-  // Masked gradient aggregation needs every delta at once to compute sign
-  // agreement, so the batched path stays.
+  // The mask needs every update's sign before any coordinate is final, so
+  // Aggregate runs over the materialised batch.
   bool SupportsStreamingAggregation() const override { return false; }
 
  private:

@@ -72,29 +72,4 @@ std::vector<float> StreamingWeightedSum::Finish() const {
   return out;
 }
 
-std::vector<float> SignAgreement(
-    const std::vector<std::vector<float>>& deltas) {
-  if (deltas.empty()) {
-    throw std::invalid_argument("SignAgreement: no deltas");
-  }
-  const std::size_t dim = deltas.front().size();
-  std::vector<float> agreement(dim, 0.0f);
-  for (std::size_t j = 0; j < dim; ++j) {
-    int positive = 0, negative = 0;
-    for (const auto& delta : deltas) {
-      if (delta.size() != dim) {
-        throw std::invalid_argument("SignAgreement: delta dim mismatch");
-      }
-      if (delta[j] > 0.0f) {
-        ++positive;
-      } else if (delta[j] < 0.0f) {
-        ++negative;
-      }
-    }
-    agreement[j] = static_cast<float>(std::max(positive, negative)) /
-                   static_cast<float>(deltas.size());
-  }
-  return agreement;
-}
-
 }  // namespace pardon::fl

@@ -51,10 +51,4 @@ class StreamingWeightedSum {
   std::size_t folded_ = 0;
 };
 
-// Per-coordinate agreement mask over client deltas (FedGMA): for coordinate
-// j, agreement = max(share of positive deltas, share of negative deltas).
-// Returns agreement in [0, 1] per coordinate. `deltas` are (local - global).
-std::vector<float> SignAgreement(
-    const std::vector<std::vector<float>>& deltas);
-
 }  // namespace pardon::fl

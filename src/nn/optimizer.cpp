@@ -30,18 +30,27 @@ Sgd::Sgd(std::vector<Tensor*> params, std::vector<Tensor*> grads,
   }
 }
 
+// Options are copied into locals and the buffers walked through __restrict
+// pointers so GCC vectorises the loops; each element's expression is the
+// scalar one, so results are bitwise unchanged (docs/PERFORMANCE.md).
 void Sgd::Step() {
+  const float lr = options_.lr;
+  const float momentum = options_.momentum;
+  const float weight_decay = options_.weight_decay;
   for (std::size_t i = 0; i < params_.size(); ++i) {
-    Tensor& p = *params_[i];
-    const Tensor& g = *grads_[i];
-    for (std::int64_t j = 0; j < p.size(); ++j) {
-      float grad = g[j] + options_.weight_decay * p[j];
-      if (options_.momentum != 0.0f) {
-        float& vel = velocity_[i][j];
-        vel = options_.momentum * vel + grad;
-        grad = vel;
+    float* __restrict p = params_[i]->data();
+    const float* __restrict g = grads_[i]->data();
+    const std::int64_t n = params_[i]->size();
+    if (momentum == 0.0f) {
+      for (std::int64_t j = 0; j < n; ++j) {
+        p[j] -= lr * (g[j] + weight_decay * p[j]);
       }
-      p[j] -= options_.lr * grad;
+      continue;
+    }
+    float* __restrict vel = velocity_[i].data();
+    for (std::int64_t j = 0; j < n; ++j) {
+      vel[j] = momentum * vel[j] + (g[j] + weight_decay * p[j]);
+      p[j] -= lr * vel[j];
     }
   }
 }
@@ -57,22 +66,31 @@ Adam::Adam(std::vector<Tensor*> params, std::vector<Tensor*> grads,
   }
 }
 
+// Built with -fno-math-errno (src/nn/CMakeLists.txt): without it std::sqrt
+// keeps an errno branch that stops the loop vectorising. sqrt and / are
+// correctly rounded either way, so only errno differs.
 void Adam::Step() {
   ++t_;
-  const float bias1 = 1.0f - std::pow(options_.beta1, static_cast<float>(t_));
-  const float bias2 = 1.0f - std::pow(options_.beta2, static_cast<float>(t_));
+  const float lr = options_.lr;
+  const float beta1 = options_.beta1;
+  const float beta2 = options_.beta2;
+  const float epsilon = options_.epsilon;
+  const float weight_decay = options_.weight_decay;
+  const float bias1 = 1.0f - std::pow(beta1, static_cast<float>(t_));
+  const float bias2 = 1.0f - std::pow(beta2, static_cast<float>(t_));
   for (std::size_t i = 0; i < params_.size(); ++i) {
-    Tensor& p = *params_[i];
-    const Tensor& g = *grads_[i];
-    Tensor& m = m_[i];
-    Tensor& v = v_[i];
-    for (std::int64_t j = 0; j < p.size(); ++j) {
-      const float grad = g[j] + options_.weight_decay * p[j];
-      m[j] = options_.beta1 * m[j] + (1.0f - options_.beta1) * grad;
-      v[j] = options_.beta2 * v[j] + (1.0f - options_.beta2) * grad * grad;
+    float* __restrict p = params_[i]->data();
+    const float* __restrict g = grads_[i]->data();
+    float* __restrict m = m_[i].data();
+    float* __restrict v = v_[i].data();
+    const std::int64_t n = params_[i]->size();
+    for (std::int64_t j = 0; j < n; ++j) {
+      const float grad = g[j] + weight_decay * p[j];
+      m[j] = beta1 * m[j] + (1.0f - beta1) * grad;
+      v[j] = beta2 * v[j] + (1.0f - beta2) * grad * grad;
       const float m_hat = m[j] / bias1;
       const float v_hat = v[j] / bias2;
-      p[j] -= options_.lr * m_hat / (std::sqrt(v_hat) + options_.epsilon);
+      p[j] -= lr * m_hat / (std::sqrt(v_hat) + epsilon);
     }
   }
 }

@@ -26,6 +26,7 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <cstdint>
 #include <filesystem>
 #include <functional>
 #include <memory>
@@ -42,8 +43,10 @@
 #include "core/fisc.hpp"
 #include "data/domain_generator.hpp"
 #include "data/partition.hpp"
+#include "fl/comm.hpp"
 #include "fl/sim_checkpoint.hpp"
 #include "fl/simulator.hpp"
+#include "tensor/gemm.hpp"
 
 namespace pardon::fl {
 namespace {
@@ -299,6 +302,77 @@ TEST_P(AlgorithmConformanceTest, ResumeFromMidRunCheckpointIsTransparent) {
       << GetParam().name;
   EXPECT_EQ(uninterrupted.final_accuracy, resumed.final_accuracy);
   std::filesystem::remove_all(dir);
+}
+
+// Pins each method's final parameters to CRC-32 values recorded before the
+// optimiser, layer and FedGMA inner loops were rewritten to vectorise. The
+// serial-vs-pooled and resume tests above compare two runs of the same build;
+// this one compares a run against a fixed record, so any change to the
+// floating-point result of training or aggregation fails here. Each row is
+// pinned once per GEMM numerics regime: the scalar tiers (naive == blocked)
+// and the simd tier, whose FMA chains round differently. The last row runs
+// SGD with momentum and weight decay, which no paper config uses.
+TEST(FinalParamsDigest, MatchesPinnedValuePerMethod) {
+#if defined(__FMA__)
+  GTEST_SKIP() << "pinned for the portable x86-64 build; -march=native lets "
+                  "the compiler contract every a*b+c and changes the results";
+#endif
+  const ConformanceWorld& world = ConformanceWorld::Get();
+  struct Pinned {
+    std::string name;
+    std::function<std::unique_ptr<Algorithm>()> make;
+    nn::OptimizerOptions optimizer;
+    std::uint32_t scalar_crc;
+    std::uint32_t simd_crc;
+  };
+  const nn::OptimizerOptions adam = world.fl_config.optimizer;
+  const nn::OptimizerOptions sgd{
+      .kind = nn::OptimizerOptions::Kind::kSgdMomentum,
+      .lr = 1e-2f,
+      .momentum = 0.9f,
+      .weight_decay = 1e-3f};
+  const auto method = [](const std::string& name) {
+    for (const ConformanceMethod& m : ConformanceMethods()) {
+      if (m.name == name) return m.make;
+    }
+    throw std::invalid_argument("no conformance method " + name);
+  };
+  const std::vector<Pinned> pinned = {
+      {"FedAvg", method("FedAvg"), adam, 0x5b694b3bu, 0x8afb3ee6u},
+      {"FedProx", method("FedProx"), adam, 0x3c96e3abu, 0xe48f3032u},
+      {"FedSR", method("FedSR"), adam, 0xae1fdafau, 0xd91afd8fu},
+      {"FedGMA", method("FedGMA"), adam, 0xc77c6c86u, 0x4cb0513au},
+      {"FPL", method("FPL"), adam, 0x9d0eb8ffu, 0xf83d2d96u},
+      {"FedDG-GA", method("FedDG-GA"), adam, 0xda14614fu, 0x8c58aee4u},
+      {"CCST", method("CCST"), adam, 0xd781af73u, 0x1acfcc17u},
+      {"FISC", method("FISC"), adam, 0x27d41aa2u, 0x5b8f54a0u},
+      {"FedGMA+SGD", method("FedGMA"), sgd, 0x3db7f5c3u, 0x1a0d6b10u},
+  };
+
+  std::vector<tensor::GemmBackend> backends = {tensor::GemmBackend::kBlocked};
+  if (tensor::GemmSimdSupported()) {
+    backends.push_back(tensor::GemmBackend::kSimd);
+  }
+  const tensor::GemmBackend original = tensor::ActiveGemmBackend();
+  for (const tensor::GemmBackend backend : backends) {
+    tensor::SetGemmBackend(backend);
+    for (const Pinned& p : pinned) {
+      FlConfig config = world.fl_config;
+      config.optimizer = p.optimizer;
+      const auto algorithm = p.make();
+      const std::vector<float> params =
+          world.Run(*algorithm, config).final_model.FlatParams();
+      const auto bytes = std::as_bytes(std::span<const float>(params));
+      const std::uint32_t crc = Crc32(std::span<const std::uint8_t>(
+          reinterpret_cast<const std::uint8_t*>(bytes.data()), bytes.size()));
+      const std::uint32_t want =
+          backend == tensor::GemmBackend::kSimd ? p.simd_crc : p.scalar_crc;
+      EXPECT_EQ(crc, want) << p.name << " on the "
+                           << tensor::ToString(backend) << " tier: 0x"
+                           << std::hex << crc;
+    }
+  }
+  tensor::SetGemmBackend(original);
 }
 
 INSTANTIATE_TEST_SUITE_P(

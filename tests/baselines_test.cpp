@@ -2,6 +2,10 @@
 // smoke round through the simulator for every method.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+
 #include "baselines/ccst.hpp"
 #include "baselines/fedavg.hpp"
 #include "baselines/feddg_ga.hpp"
@@ -91,6 +95,126 @@ TEST(FedGma, MasksDisagreeingCoordinates) {
   // disagreement with tau=1 -> soft mask 0.5 applied to avg delta 0 -> 0.
   EXPECT_FLOAT_EQ(merged[0], 1.0f);
   EXPECT_FLOAT_EQ(merged[1], 0.0f);
+}
+
+TEST(FedGma, CountsMajoritySign) {
+  // tau above 1 soft-masks every coordinate by its agreement, so the merged
+  // value is agreement * weighted mean delta.
+  FedGma gma({.tau = 1.5f, .server_lr = 1.0f});
+  const std::vector<float> global = {0.0f, 0.0f, 0.0f};
+  std::vector<fl::ClientUpdate> updates(3);
+  updates[0].params = {1.0f, -1.0f, 0.0f};
+  updates[1].params = {2.0f, 1.0f, 0.0f};
+  updates[2].params = {3.0f, -2.0f, 1.0f};
+  for (fl::ClientUpdate& u : updates) u.num_samples = 1;
+  const std::vector<int> ids = {0, 1, 2};
+  const std::vector<float> merged = gma.Aggregate(global, updates, ids, 1);
+  // Agreements 1, 2/3 (two negative of three) and 1/3 (zeros count for
+  // neither sign); mean deltas 2, -2/3 and 1/3.
+  EXPECT_FLOAT_EQ(merged[0], 2.0f);
+  EXPECT_NEAR(merged[1], -4.0f / 9.0f, 1e-6f);
+  EXPECT_NEAR(merged[2], 1.0f / 9.0f, 1e-6f);
+}
+
+// The coordinate-outer FedGMA aggregation, with its separate sign-agreement
+// pass, as it was before Aggregate became one pass per update.
+std::vector<float> ReferenceFedGmaAggregate(
+    std::span<const float> global_params,
+    std::span<const fl::ClientUpdate> updates, float tau, float server_lr) {
+  const std::size_t dim = global_params.size();
+  std::vector<std::vector<float>> deltas;
+  std::vector<double> weights;
+  double total_weight = 0.0;
+  for (const fl::ClientUpdate& u : updates) {
+    std::vector<float> delta(dim);
+    for (std::size_t j = 0; j < dim; ++j) {
+      delta[j] = u.params[j] - global_params[j];
+    }
+    deltas.push_back(std::move(delta));
+    weights.push_back(static_cast<double>(u.num_samples));
+    total_weight += static_cast<double>(u.num_samples);
+  }
+  if (total_weight <= 0.0) total_weight = 1.0;
+  std::vector<float> agreement(dim, 0.0f);
+  for (std::size_t j = 0; j < dim; ++j) {
+    int positive = 0, negative = 0;
+    for (const auto& delta : deltas) {
+      if (delta[j] > 0.0f) {
+        ++positive;
+      } else if (delta[j] < 0.0f) {
+        ++negative;
+      }
+    }
+    agreement[j] = static_cast<float>(std::max(positive, negative)) /
+                   static_cast<float>(deltas.size());
+  }
+  std::vector<float> out(global_params.begin(), global_params.end());
+  for (std::size_t j = 0; j < dim; ++j) {
+    double avg_delta = 0.0;
+    for (std::size_t k = 0; k < deltas.size(); ++k) {
+      avg_delta += weights[k] / total_weight * deltas[k][j];
+    }
+    const float mask = agreement[j] >= tau ? 1.0f : agreement[j];
+    out[j] += server_lr * mask * static_cast<float>(avg_delta);
+  }
+  return out;
+}
+
+TEST(FedGma, AggregateMatchesCoordinateLoopBitwise) {
+  for (const std::size_t k : {1u, 2u, 4u, 5u, 20u}) {
+    for (const std::size_t dim : {1u, 7u, 67u, 1001u}) {
+      Pcg32 rng(static_cast<std::uint64_t>(k * 10007 + dim));
+      std::vector<float> global(dim);
+      for (float& g : global) g = rng.NextGaussian();
+      // Every fifth coordinate of global is -0.0f, every seventh 0.0f, so
+      // a local value equal to it gives an exact zero delta of either sign.
+      for (std::size_t j = 0; j < dim; j += 5) global[j] = -0.0f;
+      for (std::size_t j = 0; j < dim; j += 7) global[j] = 0.0f;
+      std::vector<fl::ClientUpdate> updates(k);
+      for (std::size_t c = 0; c < k; ++c) {
+        updates[c].num_samples = static_cast<std::int64_t>(3 * c + 1);
+        updates[c].params.resize(dim);
+        for (std::size_t j = 0; j < dim; ++j) {
+          const float step = rng.NextGaussian() * 1e-2f;
+          switch ((j + c) % 6) {
+            case 0: updates[c].params[j] = global[j]; break;  // zero delta
+            case 1: updates[c].params[j] = -0.0f; break;
+            // Even k gives coordinate j % 6 == 2 sign ties: half the
+            // clients step up, half down.
+            case 2:
+              updates[c].params[j] = global[j] + (c % 2 ? 0.5f : -0.5f);
+              break;
+            default: updates[c].params[j] = global[j] + step;
+          }
+        }
+      }
+      std::vector<int> ids(k);
+      for (const FedGma::Options options :
+           {FedGma::Options{}, FedGma::Options{.tau = 0.7f, .server_lr = 0.5f}}) {
+        FedGma gma(options);
+        const std::vector<float> got = gma.Aggregate(global, updates, ids, 1);
+        const std::vector<float> want = ReferenceFedGmaAggregate(
+            global, updates, options.tau, options.server_lr);
+        ASSERT_EQ(got.size(), want.size());
+        for (std::size_t j = 0; j < dim; ++j) {
+          ASSERT_EQ(std::bit_cast<std::uint32_t>(got[j]),
+                    std::bit_cast<std::uint32_t>(want[j]))
+              << "k=" << k << " dim=" << dim << " coordinate " << j;
+        }
+      }
+    }
+  }
+}
+
+TEST(FedGma, AggregateRejectsEmptyAndMismatchedUpdates) {
+  FedGma gma;
+  const std::vector<float> global = {0.0f, 0.0f};
+  EXPECT_THROW(gma.Aggregate(global, {}, {}, 1), std::invalid_argument);
+  std::vector<fl::ClientUpdate> updates(1);
+  updates[0].params = {1.0f};
+  updates[0].num_samples = 1;
+  const std::vector<int> ids = {0};
+  EXPECT_THROW(gma.Aggregate(global, updates, ids, 1), std::invalid_argument);
 }
 
 TEST(FedDgGa, ShiftsWeightTowardLargerGap) {

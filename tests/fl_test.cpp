@@ -158,18 +158,6 @@ TEST(FedAvg, WeightScalingIsBitwiseInvariant) {
   EXPECT_EQ(FedAvg(updates), FedAvg(scaled));
 }
 
-TEST(SignAgreement, CountsMajoritySign) {
-  const std::vector<std::vector<float>> deltas = {
-      {1.0f, -1.0f, 0.0f},
-      {2.0f, 1.0f, 0.0f},
-      {3.0f, -2.0f, 1.0f},
-  };
-  const std::vector<float> agreement = SignAgreement(deltas);
-  EXPECT_FLOAT_EQ(agreement[0], 1.0f);
-  EXPECT_NEAR(agreement[1], 2.0f / 3.0f, 1e-6f);
-  EXPECT_NEAR(agreement[2], 1.0f / 3.0f, 1e-6f);
-}
-
 TEST(ClientSampler, DeterministicSortedSubset) {
   const ClientSampler sampler(100, 20, 7);
   const std::vector<int> a = sampler.Sample(3);

@@ -2,7 +2,11 @@
 // layer's backward pass (central differences against the analytic gradient).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
 
 #include "nn/layers.hpp"
 #include "nn/sequential.hpp"
@@ -108,6 +112,45 @@ TEST(Relu, ZeroesNegativesAndMasksGradient) {
   const Tensor grad = relu.Backward(Tensor({1, 4}, {1, 1, 1, 1}), *ctx);
   EXPECT_FLOAT_EQ(grad[0], 0);
   EXPECT_FLOAT_EQ(grad[1], 1);
+}
+
+std::vector<std::uint32_t> Bits(const Tensor& t) {
+  std::vector<std::uint32_t> bits;
+  for (std::int64_t i = 0; i < t.size(); ++i) {
+    bits.push_back(std::bit_cast<std::uint32_t>(t[i]));
+  }
+  return bits;
+}
+
+// Relu is a branch-free select; it must keep the branchy loop's signed zeros
+// and NaNs, which std::max would not.
+TEST(Relu, SelectMatchesBranchyLoopOnSignedZeroAndNan) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const std::vector<float> values = {-0.0f, 0.0f, nan, -nan, -1.5f, 2.0f,
+                                     -inf, inf, 1e-40f, -1e-40f, 3.0f,
+                                     -0.0f, nan, 0.0f, -2.0f};
+  // 15 values in a [3, 5] batch, so the vector loops have a tail.
+  const Tensor x({3, 5}, values);
+  Pcg32 rng(4);
+  const Tensor grad_out = Tensor::Gaussian({3, 5}, 0.0f, 1.0f, rng);
+
+  Tensor want_y = x;
+  for (std::int64_t i = 0; i < want_y.size(); ++i) {
+    if (want_y[i] < 0.0f) want_y[i] = 0.0f;
+  }
+  Tensor want_grad = grad_out;
+  for (std::int64_t i = 0; i < want_grad.size(); ++i) {
+    if (want_y[i] <= 0.0f) want_grad[i] = 0.0f;
+  }
+
+  Relu relu;
+  std::unique_ptr<Layer::Context> ctx;
+  const Tensor y = relu.Forward(x, ctx, /*training=*/true, &rng);
+  EXPECT_EQ(Bits(y), Bits(want_y));
+  EXPECT_EQ(std::bit_cast<std::uint32_t>(y[0]), 0x80000000u);  // -0 stays -0
+  EXPECT_TRUE(std::isnan(y[2]));
+  EXPECT_EQ(Bits(relu.Backward(grad_out, *ctx)), Bits(want_grad));
 }
 
 TEST(Tanh, GradientMatchesNumeric) {
@@ -267,6 +310,119 @@ TEST(BatchNorm1d, BuffersExposedAndCloned) {
   bn_clone->Buffers()[0]->Fill(99.0f);
   EXPECT_GT(tensor::MaxAbsDiff(*layer.Buffers()[0], *bn_clone->Buffers()[0]),
             1.0f);
+}
+
+// The column-by-column BatchNorm1d loops the layer used before its passes
+// walked rows outer; the rewrite must reproduce them bit for bit.
+struct ReferenceBatchNorm {
+  Tensor gamma, beta, running_mean, running_var, grad_gamma, grad_beta;
+  Tensor xhat, inv_std;
+  float momentum = 0.1f, epsilon = 1e-5f;
+
+  Tensor Forward(const Tensor& x, bool training) {
+    const std::int64_t n = x.dim(0), d = x.dim(1);
+    Tensor mean({d}), var({d});
+    if (training && n > 1) {
+      for (std::int64_t c = 0; c < d; ++c) {
+        double acc = 0.0;
+        for (std::int64_t r = 0; r < n; ++r) acc += x.At(r, c);
+        mean[c] = static_cast<float>(acc / static_cast<double>(n));
+      }
+      for (std::int64_t c = 0; c < d; ++c) {
+        double acc = 0.0;
+        for (std::int64_t r = 0; r < n; ++r) {
+          const double diff = double(x.At(r, c)) - mean[c];
+          acc += diff * diff;
+        }
+        var[c] = static_cast<float>(acc / static_cast<double>(n));
+      }
+      for (std::int64_t c = 0; c < d; ++c) {
+        running_mean[c] =
+            (1.0f - momentum) * running_mean[c] + momentum * mean[c];
+        running_var[c] = (1.0f - momentum) * running_var[c] + momentum * var[c];
+      }
+    } else {
+      mean = running_mean;
+      var = running_var;
+    }
+    xhat = Tensor({n, d});
+    inv_std = Tensor({d});
+    Tensor out({n, d});
+    for (std::int64_t c = 0; c < d; ++c) {
+      inv_std[c] = 1.0f / std::sqrt(var[c] + epsilon);
+      for (std::int64_t r = 0; r < n; ++r) {
+        xhat.At(r, c) = (x.At(r, c) - mean[c]) * inv_std[c];
+        out.At(r, c) = gamma[c] * xhat.At(r, c) + beta[c];
+      }
+    }
+    return out;
+  }
+
+  Tensor Backward(const Tensor& grad_out) {
+    const std::int64_t n = xhat.dim(0), d = xhat.dim(1);
+    Tensor grad({n, d});
+    const float inv_n = 1.0f / static_cast<float>(n);
+    for (std::int64_t c = 0; c < d; ++c) {
+      double g_sum = 0.0, gx_sum = 0.0;
+      for (std::int64_t r = 0; r < n; ++r) {
+        g_sum += grad_out.At(r, c);
+        gx_sum += double(grad_out.At(r, c)) * xhat.At(r, c);
+      }
+      grad_gamma[c] += static_cast<float>(gx_sum);
+      grad_beta[c] += static_cast<float>(g_sum);
+      const float scale = gamma[c] * inv_std[c];
+      const float g_mean = static_cast<float>(g_sum) * inv_n;
+      const float gx_mean = static_cast<float>(gx_sum) * inv_n;
+      for (std::int64_t r = 0; r < n; ++r) {
+        grad.At(r, c) =
+            scale * (grad_out.At(r, c) - g_mean - xhat.At(r, c) * gx_mean);
+      }
+    }
+    return grad;
+  }
+};
+
+TEST(BatchNorm1d, RowOuterPassesMatchColumnLoopsBitwise) {
+  // Odd n and d leave tails in every vectorised loop; n = 1 in training
+  // takes the running-statistics path.
+  for (const std::int64_t n : {1, 3, 7, 33}) {
+    for (const std::int64_t d : {1, 5, 17, 31}) {
+      Pcg32 rng(static_cast<std::uint64_t>(n * 100 + d));
+      BatchNorm1d layer(d);
+      ReferenceBatchNorm ref;
+      ref.gamma = Tensor::Gaussian({d}, 1.0f, 0.5f, rng);
+      ref.beta = Tensor::Gaussian({d}, 0.0f, 0.5f, rng);
+      ref.running_mean = Tensor::Gaussian({d}, 0.0f, 1.0f, rng);
+      ref.running_var = Tensor::Uniform({d}, 0.5f, 2.0f, rng);
+      ref.grad_gamma = Tensor::Gaussian({d}, 0.0f, 1.0f, rng);
+      ref.grad_beta = Tensor::Gaussian({d}, 0.0f, 1.0f, rng);
+      *layer.Params()[0] = ref.gamma;
+      *layer.Params()[1] = ref.beta;
+      *layer.Buffers()[0] = ref.running_mean;
+      *layer.Buffers()[1] = ref.running_var;
+      *layer.Grads()[0] = ref.grad_gamma;
+      *layer.Grads()[1] = ref.grad_beta;
+
+      for (const bool training : {true, false}) {
+        const Tensor x = Tensor::Gaussian({n, d}, 3.0f, 2.0f, rng);
+        const Tensor grad_out = Tensor::Gaussian({n, d}, 0.0f, 1.0f, rng);
+        std::unique_ptr<Layer::Context> ctx;
+        const Tensor y = layer.Forward(x, ctx, training, &rng);
+        const Tensor grad = layer.Backward(grad_out, *ctx);
+        const Tensor want_y = ref.Forward(x, training);
+        const Tensor want_grad = ref.Backward(grad_out);
+        const std::string where = "n=" + std::to_string(n) +
+                                  " d=" + std::to_string(d) +
+                                  (training ? " train" : " eval");
+        EXPECT_EQ(Bits(y), Bits(want_y)) << where;
+        EXPECT_EQ(Bits(grad), Bits(want_grad)) << where;
+        EXPECT_EQ(Bits(*layer.Buffers()[0]), Bits(ref.running_mean)) << where;
+        EXPECT_EQ(Bits(*layer.Buffers()[1]), Bits(ref.running_var)) << where;
+        EXPECT_EQ(Bits(*layer.Grads()[0]), Bits(ref.grad_gamma)) << where;
+        EXPECT_EQ(Bits(*layer.Grads()[1]), Bits(ref.grad_beta)) << where;
+      }
+    }
+  }
 }
 
 TEST(Sequential, ChainGradientMatchesNumeric) {

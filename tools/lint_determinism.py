@@ -39,6 +39,14 @@ contract. Rules (ids are what the allowlist references):
                      bounds-checked readers. New decode sites must go through
                      fl::wire::Get* (or be allowlisted with the bounds check
                      named in the reason).
+  value-changing-math
+                     Compiler flags that let the optimiser change
+                     floating-point values (-ffast-math, -Ofast,
+                     -funsafe-math-optimizations, -fassociative-math,
+                     -freciprocal-math, -ffinite-math-only,
+                     -fno-signed-zeros) in any CMakeLists.txt or *.cmake.
+                     -fno-math-errno is allowed: it drops only errno
+                     writes, and sqrt and / stay correctly rounded.
 
 Allowlist: tools/lint_determinism_allowlist.txt. Each line is
 
@@ -94,6 +102,18 @@ KERNEL_TUS = {
     "src/tensor/gemm.cpp": "src/tensor/CMakeLists.txt",
     "src/tensor/simd_kernels.cpp": "src/tensor/CMakeLists.txt",
 }
+
+# Flags that license value-changing floating-point rewrites (rule
+# value-changing-math). -fno-math-errno is deliberately absent: it only drops
+# errno writes, so IEEE sqrt and / results are unchanged.
+VALUE_CHANGING_MATH = re.compile(
+    r"(?<![\w-])(-ffast-math|-Ofast|-funsafe-math-optimizations"
+    r"|-fassociative-math|-freciprocal-math|-ffinite-math-only"
+    r"|-fno-signed-zeros)(?![\w-])"
+)
+# Top-level build trees (build/, build-asan/, ...) hold generated CMake files,
+# not sources; hidden directories (.git, .bench_build) are skipped too.
+BUILD_DIR_PREFIX = "build"
 
 ALLOWLIST_PATH = "tools/lint_determinism_allowlist.txt"
 
@@ -266,7 +286,8 @@ def parse_allowlist(path: str) -> list[AllowEntry]:
                     f"{path}:{line_no}: expected '<rule> <path> [substring]'"
                 )
             rule = parts[0]
-            known = {r for r, _, _ in LINE_RULES} | {"fp-contract"}
+            known = {r for r, _, _ in LINE_RULES} | {
+                "fp-contract", "value-changing-math"}
             if rule not in known:
                 raise SystemExit(
                     f"{path}:{line_no}: unknown rule '{rule}' "
@@ -351,6 +372,33 @@ def check_fp_contract(root: str) -> list[Finding]:
     return findings
 
 
+def check_value_changing_math(root: str) -> list[Finding]:
+    """No CMakeLists.txt or *.cmake may pass a value-changing math flag."""
+    findings = []
+    for dirpath, dirnames, filenames in os.walk(root):
+        rel_dir = os.path.relpath(dirpath, root).replace(os.sep, "/")
+        at_root = rel_dir == "."
+        dirnames[:] = sorted(
+            d for d in dirnames
+            if not d.startswith(".")
+            and not (at_root and d.startswith(BUILD_DIR_PREFIX))
+            and not (d if at_root else f"{rel_dir}/{d}/").startswith(
+                EXCLUDED_PREFIXES)
+        )
+        for name in sorted(filenames):
+            if name != "CMakeLists.txt" and not name.endswith(".cmake"):
+                continue
+            full = os.path.join(dirpath, name)
+            rel = os.path.relpath(full, root).replace(os.sep, "/")
+            with open(full, encoding="utf-8", errors="replace") as f:
+                for line_no, line in enumerate(f, 1):
+                    code = line.split("#", 1)[0]  # CMake comments
+                    if VALUE_CHANGING_MATH.search(code):
+                        findings.append(
+                            Finding("value-changing-math", rel, line_no, line))
+    return findings
+
+
 def run_scan(root: str, allowlist_path: str | None = None,
              quiet: bool = False) -> int:
     if allowlist_path is None:
@@ -361,6 +409,7 @@ def run_scan(root: str, allowlist_path: str | None = None,
     for full, rel in iter_source_files(root):
         findings.extend(scan_file(full, rel))
     findings.extend(check_fp_contract(root))
+    findings.extend(check_value_changing_math(root))
 
     reported = []
     for finding in findings:
@@ -416,6 +465,7 @@ def scan_findings(tree: str) -> list[Finding]:
     for full, rel in iter_source_files(tree):
         found.extend(scan_file(full, rel))
     found.extend(check_fp_contract(tree))
+    found.extend(check_value_changing_math(tree))
     return [f for f in found if not any(e.matches(f) for e in entries)]
 
 
@@ -569,6 +619,43 @@ def run_self_test(root: str) -> int:
             'COMPILE_OPTIONS "-ffp-contract=off;-mavx2;-mfma")\n')
         found = scan_findings(tree)
         check("fp-contract passes with flag on SIMD TU", not found,
+              "; ".join(str(f) for f in found))
+
+    # value-changing-math: each banned flag fails in a CMakeLists.txt and in
+    # a *.cmake file; -fno-math-errno and a banned flag named only in a
+    # comment pass.
+    def plant_cmake(tree: str, rel: str, line: str) -> None:
+        dest = os.path.join(tree, rel)
+        os.makedirs(os.path.dirname(dest), exist_ok=True)
+        with open(dest, "w", encoding="utf-8") as f:
+            f.write("add_library(pardon_nn optimizer.cpp)\n" + line + "\n")
+
+    for flag in ("-ffast-math", "-Ofast", "-funsafe-math-optimizations",
+                 "-fassociative-math", "-freciprocal-math",
+                 "-ffinite-math-only", "-fno-signed-zeros"):
+        for rel in ("src/nn/CMakeLists.txt", "cmake/flags.cmake"):
+            with tempfile.TemporaryDirectory() as tree:
+                plant_cmake(tree, rel,
+                            "set_source_files_properties(optimizer.cpp "
+                            f'PROPERTIES COMPILE_OPTIONS "-O2;{flag}")')
+                found = scan_findings(tree)
+                check(f"value-changing-math fires on {flag} in {rel}",
+                      {"value-changing-math"} == {f.rule for f in found},
+                      f"{[str(f) for f in found]}")
+
+    with tempfile.TemporaryDirectory() as tree:
+        plant_cmake(tree, "src/nn/CMakeLists.txt",
+                    "set_source_files_properties(optimizer.cpp "
+                    'PROPERTIES COMPILE_OPTIONS "-fno-math-errno")')
+        found = scan_findings(tree)
+        check("value-changing-math allows -fno-math-errno", not found,
+              "; ".join(str(f) for f in found))
+
+    with tempfile.TemporaryDirectory() as tree:
+        plant_cmake(tree, "src/nn/CMakeLists.txt",
+                    "# Never -ffast-math or -Ofast: they change values.")
+        found = scan_findings(tree)
+        check("value-changing-math ignores CMake comments", not found,
               "; ".join(str(f) for f in found))
 
     print(f"self-test: {'PASS' if not failures else 'FAIL'} "
